@@ -10,7 +10,8 @@ checked exactly like the same flag on the command line. A switch such as
 and left off by any other value. A repeatable flag takes a comma list
 (``csv=a.csv,b.csv`` stands for ``--csv a.csv --csv b.csv``). Explicit flags
 override the file; an explicit ``--csv`` replaces the file's list rather
-than adding to it.
+than adding to it. Flags must be spelled out in full: an abbreviation such as
+``--cs`` for ``--csv`` is a usage error.
 
 Exit codes: 0 on success, 1 on fatal errors, 2 when some problems or methods
 failed but the run completed. Fatal errors include usage errors: an unknown
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -102,12 +104,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser = argparse.ArgumentParser(
         prog="tseval",
         description="Performance estimation for time-series forecasting models",
+        allow_abbrev=False,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(subparsers.add_parser, parents=[common], allow_abbrev=False)
     registry: dict[str, argparse.ArgumentParser] = {}
 
-    sim = subparsers.add_parser("simulate", parents=[common],
-                                help="draw synthetic series and write them as CSV")
+    sim = add_parser("simulate", help="draw synthetic series and write them as CSV")
     sim.add_argument("--dgp", choices=("s1", "s2", "s3"), required=True)
     sim.add_argument("--trials", type=int, default=1)
     sim.add_argument("--length", type=int, default=200)
@@ -119,8 +122,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sim.add_argument("--long-csv", help="write a single trial,t,value CSV")
     registry["simulate"] = sim
 
-    ev = subparsers.add_parser("evaluate", parents=[common],
-                               help="estimate forecasting loss on your own series")
+    ev = add_parser("evaluate", help="estimate forecasting loss on your own series")
     ev.add_argument("--csv", action="append", default=None, required=True,
                     help="input series file; repeatable")
     ev.add_argument("--column", type=_column, default=0)
@@ -140,8 +142,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     ev.add_argument("--ranks", help="optional rank-table CSV path")
     registry["evaluate"] = ev
 
-    bm = subparsers.add_parser("benchmark", parents=[common],
-                               help="synthetic estimator-accuracy study")
+    bm = add_parser("benchmark", help="synthetic estimator-accuracy study")
     bm.add_argument("--dgp", choices=("s1", "s2", "s3"), required=True)
     bm.add_argument("--trials", type=int, default=200)
     bm.add_argument("--length", type=int, default=200)
@@ -159,14 +160,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     bm.add_argument("--ranks", help="optional rank-table CSV path")
     registry["benchmark"] = bm
 
-    rk = subparsers.add_parser("rank", parents=[common],
-                               help="rank table from a results CSV")
+    rk = add_parser("rank", help="rank table from a results CSV")
     rk.add_argument("--results", required=True)
     rk.add_argument("--out", help="rank-table CSV path; stdout when omitted")
     registry["rank"] = rk
 
-    cp = subparsers.add_parser("compare", parents=[common],
-                               help="Bayes sign test of methods against a baseline")
+    cp = add_parser("compare", help="Bayes sign test of methods against a baseline")
     cp.add_argument("--results", required=True)
     cp.add_argument("--baseline", default="Rep-Holdout")
     cp.add_argument("--rope", type=float, default=2.5)
@@ -177,8 +176,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     cp.add_argument("--out", help="CSV path; stdout when omitted")
     registry["compare"] = cp
 
-    st = subparsers.add_parser("stationarity", parents=[common],
-                               help="differencing order and stationarity verdicts")
+    st = add_parser("stationarity", help="differencing order and stationarity verdicts")
     st.add_argument("--csv", action="append", default=None, required=True)
     st.add_argument("--column", type=_column, default=0)
     st.add_argument("--alpha", type=float, default=0.05)
@@ -186,8 +184,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     st.add_argument("--correction", choices=("bonferroni", "fdr"), default="bonferroni")
     registry["stationarity"] = st
 
-    em = subparsers.add_parser("embed", parents=[common],
-                               help="choose an embedding dimension and export rows")
+    em = add_parser("embed", help="choose an embedding dimension and export rows")
     em.add_argument("--csv", required=True)
     em.add_argument("--column", type=_column, default=0)
     em.add_argument("--p", type=_dimension, default="auto")
@@ -202,7 +199,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def _apply_config(argv, registry) -> list[str]:
     """Splice the ``--config`` file's entries into ``argv`` as flags placed
     right after the subcommand, so argparse checks them like typed flags."""
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if not known.config:
@@ -268,6 +265,9 @@ def _finish_experiment(outcome, args) -> int:
             print(f"{method},{mean!r},{sd!r}")
     if outcome.failures:
         logger.warning("%d (problem, method) pairs failed", len(outcome.failures))
+        excluded = list(dict.fromkeys(problem for problem, _, _ in outcome.failures))
+        logger.warning("%d problem(s) left out of the rank table: %s",
+                       len(excluded), ", ".join(excluded))
         return 2 if outcome.results else 1
     return 0
 

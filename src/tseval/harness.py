@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -110,12 +111,22 @@ def derive_seed(base_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") >> 1
 
 
-def _problems(config: ExperimentConfig):
+def _problems(config: ExperimentConfig) -> list[TimeSeries]:
+    """Every problem of the study; names must be unique, because results,
+    ranks and CV seeds are keyed by them (a CSV problem is named after its
+    file stem)."""
+    problems = []
     if config.dgp is not None:
         spec = DGPSpec(kind=config.dgp, length=config.length)
-        yield from monte_carlo(spec, config.trials, config.base_seed)
-    for path in config.csv_paths:
-        yield load_csv(path, config.csv_column)
+        problems += monte_carlo(spec, config.trials, config.base_seed)
+    problems += [load_csv(path, config.csv_column) for path in config.csv_paths]
+    repeated = [name for name, count in Counter(s.name for s in problems).items() if count > 1]
+    if repeated:
+        raise ValueError(
+            "problem names must be unique; more than one input is named "
+            f"{', '.join(map(repr, repeated))} (a CSV file's problem takes its file stem)"
+        )
+    return problems
 
 
 def _choose_dimension(config: ExperimentConfig, series: TimeSeries) -> int:
@@ -129,9 +140,10 @@ def _choose_dimension(config: ExperimentConfig, series: TimeSeries) -> int:
 def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
     """Run every configured method on every problem.
 
-    A failure of one (problem, method) pair is logged and recorded without
-    disturbing the other rows; the rank table covers the problems on which
-    every method succeeded.
+    Problem names must be unique (``ValueError`` otherwise). A failure of
+    one (problem, method) pair is logged and recorded without disturbing the
+    other rows; the rank table covers the problems on which every method
+    succeeded.
     """
     results: list[EstimationResult] = []
     failures: list[tuple[str, str, str]] = []

@@ -1,8 +1,11 @@
 """Regression learners behind a single fit/predict contract.
 
-Two learners: an L1-penalised linear model solved by cyclic coordinate
-descent on internally standardized predictors, and k-nearest-neighbours
-averaging. Both are deterministic.
+Two learners: an L1-penalised linear model (lasso) on internally
+standardized predictors, and k-nearest-neighbours averaging. Both are
+deterministic. The lasso is solved exactly by following its piecewise-linear
+path from lambda_max down to the penalty (the homotopy / LARS-lasso method),
+one p x p active-set solve per breakpoint, so near-collinear predictors such
+as the lags of a random walk cost no more than well-conditioned ones.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ class LearnerSpec:
     ``lam`` is the L1 penalty on standardized predictors; ``None`` picks
     0.01 * lambda_max of the training fold, so the model is close to an
     ordinary least-squares fit without ever being ill-posed.
+
+    ``max_iter`` bounds the breakpoints (a coefficient joining or leaving the
+    active set) of the lasso path, and ``tol`` is the acceptance test: a fit
+    whose KKT residual (see :func:`kkt_violation`) exceeds 10 * tol, or whose
+    path needs more than ``max_iter`` breakpoints, warns with a
+    ``UserWarning``. Both are ignored by k-NN.
     """
 
     kind: str = "lasso"
@@ -83,24 +92,122 @@ def lambda_max(predictors, targets) -> float:
     """Smallest penalty that zeroes every coefficient: max_j |<x_j, y>| / n
     on standardized predictors and centered targets."""
     X, y = _validate_xy(predictors, targets)
-    Xs, _, _ = _standardize(X)
-    yc = y - y.mean()
-    if Xs.shape[0] < 2:
+    if y.size < 2 or X.shape[1] == 0:
         return 0.0
-    return float(np.max(np.abs(Xs.T @ yc)) / y.size) if Xs.size else 0.0
+    *_, c = _standardized_gram(X, y)
+    return float(np.max(np.abs(c)))
 
 
-def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _standardized_gram(
+    X: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Column means and standard deviations of X, and the Gram matrix
+    G = Xs'Xs / n and correlations c = Xs'(y - mean y) / n of the
+    standardized predictors Xs. A constant column keeps scale 1, so its Xs
+    column, G row and c entry are zero."""
+    n = y.size
     mu = X.mean(axis=0)
-    sigma = X.std(axis=0)
-    safe = np.where(sigma > 0, sigma, 1.0)
-    return (X - mu) / safe, mu, sigma
+    Xc = X - mu
+    S = Xc.T @ Xc / n
+    sigma = np.sqrt(S.diagonal())
+    scales = np.where(sigma > 0, sigma, 1.0)
+    return mu, sigma, S / np.outer(scales, scales), (y - y.mean()) @ Xc / (n * scales)
+
+
+def _kkt_residual(grad: np.ndarray, beta: np.ndarray, lam: float, live: np.ndarray) -> float:
+    """Worst stationarity residual: |grad_j| must equal ``lam`` where beta_j is
+    non-zero and must not exceed it on the other live coefficients."""
+    active = beta != 0
+    on = np.abs(np.abs(grad[active]) - lam)
+    off = np.abs(grad[live & ~active]) - lam
+    return float(max(np.max(on, initial=0.0), np.max(off, initial=0.0)))
+
+
+# A column whose residual on the active columns keeps less than this share of
+# its squared norm is treated as a combination of them and never joins.
+_SPAN_TOL = 1e-10
+
+
+def _lasso_path(
+    G: np.ndarray, c: np.ndarray, lam: float, live: np.ndarray, max_steps: int
+) -> tuple[np.ndarray, bool]:
+    """Minimise 0.5 b'Gb - c'b + lam |b|_1 by following the lasso path from
+    lambda_max down to ``lam`` (homotopy / LARS-lasso; Osborne, Presnell and
+    Turlach 2000, Efron et al. 2004).
+
+    Between breakpoints the active coefficients are b_A(t) = u - t w with
+    G_AA [u, w] = [c_A, s_A], and every gradient c - G b is r + t a, so each
+    step solves the active system once and jumps to the next breakpoint: a
+    coefficient joining at |gradient| = t, or one reaching zero.
+    A live column that is (numerically) a combination of the active ones
+    never joins, so G_AA stays non-singular; its gradient then follows the
+    active ones. Returns the coefficients and whether ``lam`` was reached
+    within ``max_steps`` breakpoints.
+    """
+    beta = np.zeros(c.size)
+    magnitude = np.where(live, np.abs(c), 0.0)
+    first = int(np.argmax(magnitude))
+    level = float(magnitude[first])  # lambda_max: beta = 0 down to here
+    if level <= lam:
+        return beta, True
+    active = [first]
+    # rows [c_j, s_j, G_j]: the right-hand sides of the active system
+    rows = np.column_stack([c, np.zeros_like(c), G])
+    rows[first, 1] = np.sign(c[first])
+    joined, dropped, dropped_sign = first, -1, 0.0
+    diag = G.diagonal()
+    for _ in range(max_steps):
+        A = np.array(active, dtype=int)
+        rhs = rows[A]
+        GA = rhs[:, 2:]
+        solved = np.linalg.solve(GA[:, A], rhs)
+        u, w = solved[:, 0], solved[:, 1]
+        ra = GA.T @ solved[:, :2]
+        r, a = c - ra[:, 0], ra[:, 1]
+        # a column in the span of the active ones would make G_AA singular
+        free = live & (diag - np.einsum("ij,ij->j", GA, solved[:, 2:]) > _SPAN_TOL * diag)
+        free[A] = False
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(free & (a < 1.0), r / (1.0 - a), -np.inf)
+            down = np.where(free & (a > -1.0), -r / (1.0 + a), -np.inf)
+            to_zero = np.where(rhs[:, 1] * w < 0.0, u / w, -np.inf)
+        # A coefficient that just left may re-enter only at the opposite
+        # bound, and one that just joined cannot leave before it has moved.
+        # The direction tests above imply both in exact arithmetic; stating
+        # them keeps rounding at a = +-1 or w = 0 from undoing a breakpoint,
+        # which would cycle.
+        if dropped_sign > 0:
+            up[dropped] = -np.inf
+        elif dropped_sign < 0:
+            down[dropped] = -np.inf
+        if joined >= 0:
+            to_zero[-1] = -np.inf
+        events = (up.max(), down.max(), np.max(to_zero, initial=-np.inf))
+        kind = int(np.argmax(events))
+        nxt = min(events[kind], level)
+        if nxt <= lam:
+            beta[A] = u - lam * w
+            return beta, True
+        level = nxt
+        joined, dropped, dropped_sign = -1, -1, 0.0
+        if kind == 2:
+            k = int(np.argmax(to_zero))
+            dropped = active.pop(k)
+            dropped_sign, rows[dropped, 1] = rows[dropped, 1], 0.0
+        else:
+            joined = int(np.argmax(up if kind == 0 else down))
+            active.append(joined)
+            rows[joined, 1] = 1.0 if kind == 0 else -1.0
+    A = np.array(active, dtype=int)
+    beta[A] = np.linalg.solve(G[np.ix_(A, A)], c[A] - lam * rows[A, 1])
+    return beta, False
 
 
 def _fit_lasso(spec: LearnerSpec, X: np.ndarray, y: np.ndarray) -> FittedModel:
     n, p = X.shape
-    Xs, mu, sigma = _standardize(X)
+    mu, sigma, G, c = _standardized_gram(X, y)
     live = sigma > 0
+    scales = np.where(live, sigma, 1.0)
     ybar = float(y.mean())
     if n < 2 or not live.any():
         return FittedModel(
@@ -110,48 +217,20 @@ def _fit_lasso(spec: LearnerSpec, X: np.ndarray, y: np.ndarray) -> FittedModel:
             intercept=ybar,
             std_coefficients=np.zeros(p),
             column_means=mu,
-            column_scales=np.where(live, sigma, 1.0),
+            column_scales=scales,
             lam=spec.lam or 0.0,
         )
-    yc = y - ybar
     lam = spec.lam
     if lam is None:
-        lam = 0.01 * float(np.max(np.abs(Xs.T @ yc)) / n)
+        lam = 0.01 * float(np.max(np.abs(c)))
 
-    G = (Xs.T @ Xs) / n
-    c = (Xs.T @ yc) / n
-    beta = np.zeros(p)
-    order = np.flatnonzero(live)
-    diag = G.diagonal().copy()
-    converged = False
-    for _ in range(spec.max_iter):
-        max_delta = 0.0
-        for j in order:
-            rho = c[j] - G[j] @ beta + diag[j] * beta[j]
-            new = np.sign(rho) * max(abs(rho) - lam, 0.0) / diag[j]
-            delta = abs(new - beta[j])
-            if delta > max_delta:
-                max_delta = delta
-            beta[j] = new
-        if max_delta < spec.tol:
-            grad = c - G @ beta
-            active = beta != 0
-            viol = 0.0
-            if active.any():
-                viol = float(np.max(np.abs(np.abs(grad[active]) - lam)))
-            inactive = live & ~active
-            if inactive.any():
-                viol = max(viol, float(np.max(np.abs(grad[inactive]) - lam, initial=0.0)))
-            if viol <= 10.0 * spec.tol:
-                converged = True
-                break
-    if not converged:
+    beta, reached = _lasso_path(G, c, lam, live, spec.max_iter)
+    if not reached or _kkt_residual(c - G @ beta, beta, lam, live) > 10.0 * spec.tol:
         warnings.warn(
-            f"coordinate descent did not meet tol={spec.tol:g} within "
-            f"max_iter={spec.max_iter}",
+            f"lasso path did not meet tol={spec.tol:g} within "
+            f"max_iter={spec.max_iter} steps",
             stacklevel=3,
         )
-    scales = np.where(live, sigma, 1.0)
     coef = beta / scales
     return FittedModel(
         kind="lasso",
@@ -209,12 +288,4 @@ def kkt_violation(model: FittedModel, predictors, targets) -> float:
     Xs = (X - model.column_means) / model.column_scales
     r = (y - y.mean()) - Xs @ model.std_coefficients
     grad = Xs.T @ r / y.size
-    live = X.std(axis=0) > 0
-    active = model.std_coefficients != 0
-    viol = 0.0
-    if active.any():
-        viol = float(np.max(np.abs(np.abs(grad[active]) - model.lam)))
-    inactive = live & ~active
-    if inactive.any():
-        viol = max(viol, float(np.max(np.abs(grad[inactive]) - model.lam, initial=0.0)))
-    return viol
+    return _kkt_residual(grad, model.std_coefficients, model.lam, X.std(axis=0) > 0)

@@ -162,6 +162,34 @@ def test_partial_failure_exit_code(tmp_path):
     assert code == 2
 
 
+def test_duplicate_problem_names_are_rejected(tmp_path, caplog):
+    rng = np.random.default_rng(1)
+    paths = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        paths.append(tmp_path / folder / "x.csv")
+        write_csv(TimeSeries(np.cumsum(rng.normal(size=300)), name="x"), paths[-1])
+    out = tmp_path / "r.csv"
+    code = run_cli("evaluate", "--csv", str(paths[0]), "--csv", str(paths[1]),
+                   "--p", "3", "--methods", "Holdout", "--out", str(out))
+    assert code == 1
+    assert not out.exists()
+    assert "'x'" in caplog.text and "unique" in caplog.text
+
+
+def test_problems_left_out_of_the_rank_table_are_named(tmp_path, capsys, caplog):
+    rng = np.random.default_rng(5)
+    short, long = tmp_path / "short.csv", tmp_path / "long.csv"
+    write_csv(TimeSeries(np.cumsum(rng.normal(size=120)) + 30.0, name="short"), short)
+    write_csv(TimeSeries(np.cumsum(rng.normal(size=400)) + 30.0, name="long"), long)
+    # at p=9 CV-Mod's removal radius empties the short walk's training sets
+    code = run_cli("evaluate", "--csv", str(short), "--csv", str(long), "--p", "9",
+                   "--methods", "Holdout,CV,CV-Mod", "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    assert capsys.readouterr().out.startswith("method,mean_rank,sd_rank\n")
+    assert "1 problem(s) left out of the rank table: short" in caplog.text
+
+
 def test_determinism_of_benchmark_command(tmp_path):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out_a, out_b):
@@ -190,6 +218,9 @@ def test_config_file_drives_evaluate_and_benchmark(tmp_path, capsys):
     # an explicit --csv replaces the file's list instead of adding to it
     assert run_cli("evaluate", "--config", str(config), "--csv", str(paths[2])) == 0
     assert {line.split(",")[0] for line in out.read_text().splitlines()[1:]} == {"c"}
+
+    # an abbreviated flag is a usage error, not a way around the override
+    assert run_cli("evaluate", "--config", str(config), "--cs", str(paths[2])) == 1
 
     # a bad value in the file is a fatal usage error, like the same bad flag
     config.write_text(f"csv={paths[0]}\nout={out}\np=three\n")

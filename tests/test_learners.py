@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from tseval import LearnerSpec, fit, kkt_violation, lambda_max, predict
+from tseval import LearnerSpec, TimeSeries, embed, fit, kkt_violation, lambda_max, predict
 
 
 def test_spec_validation():
@@ -52,6 +54,44 @@ def test_kkt_residual_within_contract():
         spec = LearnerSpec(lam=lam, tol=1e-8, max_iter=5000)
         model = fit(spec, X, y)
         assert kkt_violation(model, X, y) <= 10.0 * spec.tol
+    # strongly correlated columns (corr(x_i, x_j) = rho^|i-j|, as for the lags
+    # of an AR(1) series): coefficients leave the active set on the way down
+    # the path, and some re-enter with the opposite sign
+    for rho in np.repeat([0.9, 0.95, 0.99], 4):
+        C = rho ** np.abs(np.subtract.outer(np.arange(12), np.arange(12)))
+        X = rng.normal(size=(40, 12)) @ np.linalg.cholesky(C).T
+        y = X @ rng.normal(size=12) + rng.normal(size=40)
+        for fraction in (0.1, 0.01, 1e-3, 1e-4, 0.0):
+            spec = LearnerSpec(lam=fraction * lambda_max(X, y), tol=1e-8)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                model = fit(spec, X, y)
+            assert kkt_violation(model, X, y) <= 10.0 * spec.tol
+
+
+def test_drift_walk_lags_converge():
+    # lags of a random walk with drift correlate to ~0.999996 (Gram condition
+    # number ~5e5); the default fit must still meet its KKT contract
+    steps = 2.0 + np.random.default_rng(1).normal(size=560)
+    ds = embed(TimeSeries(50.0 + np.cumsum(steps)), 2)
+    spec = LearnerSpec()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit(spec, ds.predictors, ds.targets)
+    assert kkt_violation(model, ds.predictors, ds.targets) <= 10.0 * spec.tol
+
+
+def test_zero_penalty_with_duplicated_column_matches_least_squares():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(40, 3))
+    X = np.column_stack([X, X[:, 1]])
+    y = X[:, :3] @ np.array([1.0, -2.0, 0.5]) + 3.0 + 0.1 * rng.normal(size=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit(LearnerSpec(lam=0.0, tol=1e-10), X, y)
+    design = np.column_stack([np.ones(40), X])
+    ref, *_ = np.linalg.lstsq(design, y, rcond=None)
+    assert predict(model, X) == pytest.approx(design @ ref, abs=1e-8)
 
 
 def test_default_penalty_is_lambda_max_fraction():
