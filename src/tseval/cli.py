@@ -46,7 +46,6 @@ from .series import TimeSeries, load_csv, write_csv
 from .splitters import METHODS
 from .stationarity import ndiffs, wavelet_stationarity_test
 from .synthetic import DGPSpec, monte_carlo
-from .stationarity import KPSS_CRITICAL_5PCT  # noqa: F401  (re-export convenience)
 
 logger = logging.getLogger("tseval")
 
@@ -265,11 +264,16 @@ def _finish_experiment(outcome, args) -> int:
             print(f"{method},{mean!r},{sd!r}")
     if outcome.failures:
         logger.warning("%d (problem, method) pairs failed", len(outcome.failures))
-        excluded = list(dict.fromkeys(problem for problem, _, _ in outcome.failures))
-        logger.warning("%d problem(s) left out of the rank table: %s",
-                       len(excluded), ", ".join(excluded))
+        _warn_left_out(dict.fromkeys(problem for problem, _, _ in outcome.failures))
         return 2 if outcome.results else 1
     return 0
+
+
+def _warn_left_out(problems) -> None:
+    problems = list(problems)
+    if problems:
+        logger.warning("%d problem(s) left out of the rank table: %s",
+                       len(problems), ", ".join(problems))
 
 
 def _cmd_evaluate(args) -> int:
@@ -315,10 +319,11 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_rank(args) -> int:
     results = read_results_csv(args.results)
-    methods = []
+    methods = list(dict.fromkeys(r.method for r in results))
+    seen: dict[str, set[str]] = {}
     for r in results:
-        if r.method not in methods:
-            methods.append(r.method)
+        seen.setdefault(r.problem_id, set()).add(r.method)
+    _warn_left_out(p for p, ran in seen.items() if len(ran) < len(methods))
     table = results_rank_table(results, methods)
     if table is None:
         raise ValueError("no problem has results for every method")

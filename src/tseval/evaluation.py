@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .embedding import embed
 from .learners import LearnerSpec, fit, predict
@@ -188,6 +187,23 @@ class RankTable:
         return float(self.mean_rank[self.methods.index(method)])
 
 
+def _row_ranks(A: np.ndarray) -> np.ndarray:
+    """1-based ranks within each row; a run of tied values shares the mean
+    of its positions (the "average" tie rule)."""
+    order = np.argsort(A, axis=1, kind="stable")
+    ordered = np.take_along_axis(A, order, axis=1)
+    position = np.arange(A.shape[1])
+    starts = np.ones(A.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ends = np.ones(A.shape, dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    first = np.maximum.accumulate(np.where(starts, position, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, position, A.shape[1])[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty(A.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=1)
+    return ranks
+
+
 def average_ranks(apae_matrix, methods) -> RankTable:
     """Rank methods per problem by ascending APAE (ties share the average
     of the tied positions) and aggregate across problems."""
@@ -199,7 +215,7 @@ def average_ranks(apae_matrix, methods) -> RankTable:
     methods = tuple(methods)
     if A.shape[1] != len(methods):
         raise ValueError(f"{A.shape[1]} columns for {len(methods)} methods")
-    ranks = rankdata(A, axis=1, method="average")
+    ranks = _row_ranks(A)
     sd = ranks.std(axis=0, ddof=1) if A.shape[0] > 1 else np.zeros(len(methods))
     return RankTable(methods, ranks.mean(axis=0), sd, A.shape[0])
 

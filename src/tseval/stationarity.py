@@ -23,15 +23,20 @@ smoothed length (finer scales only see pairs of raw chi-square
 periodogram values, whose heavy tails break the normal studentization).
 The false-positive and power behaviour of this variant is pinned by the
 calibration tests.
+
+Normal quantiles and tail probabilities come from the standard library
+(``statistics.NormalDist`` and ``math.erfc``), so the module needs numpy
+only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .series import TimeSeries, difference
 
@@ -224,12 +229,12 @@ def wavelet_stationarity_test(
     rejections: list[Rejection] = []
     if n_tests:
         if correction == "bonferroni":
-            threshold = float(norm.ppf(1.0 - alpha / (2.0 * n_tests)))
+            threshold = NormalDist().inv_cdf(1.0 - alpha / (2.0 * n_tests))
             for level, scale, pos, z in stats:
                 if z > threshold:
                     rejections.append(Rejection(level, scale, pos))
         else:
-            pvals = np.array([2.0 * norm.sf(z) for *_ignored, z in stats])
+            pvals = np.array([math.erfc(z / math.sqrt(2.0)) for *_ignored, z in stats])
             order = np.argsort(pvals, kind="stable")
             ranked = pvals[order]
             passing = ranked <= alpha * (np.arange(1, n_tests + 1) / n_tests)

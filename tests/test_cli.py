@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tseval import TimeSeries, load_csv, write_csv
+import tseval
+from tseval import EstimationResult, TimeSeries, load_csv, write_csv
 from tseval.cli import main
+from tseval.harness import results_to_csv
 
 
 def run_cli(*args):
@@ -188,6 +195,31 @@ def test_problems_left_out_of_the_rank_table_are_named(tmp_path, capsys, caplog)
     assert code == 2
     assert capsys.readouterr().out.startswith("method,mean_rank,sd_rank\n")
     assert "1 problem(s) left out of the rank table: short" in caplog.text
+
+
+def test_rank_names_the_problems_it_leaves_out(tmp_path, capsys, caplog):
+    methods = ("Holdout", "CV", "CV-Mod")
+    complete = [EstimationResult.from_losses("a", m, 1.0 + 0.1 * i, 1.0)
+                for i, m in enumerate(methods)]
+    partial = [EstimationResult.from_losses("b", m, 2.0 - 0.1 * i, 1.0)
+               for i, m in enumerate(methods[:2])]
+    only_a, both = tmp_path / "a.csv", tmp_path / "both.csv"
+    results_to_csv(complete, only_a)
+    results_to_csv(complete + partial, both)
+    assert run_cli("rank", "--results", str(only_a)) == 0
+    expected = capsys.readouterr().out
+    assert "left out" not in caplog.text
+    assert run_cli("rank", "--results", str(both)) == 0
+    assert capsys.readouterr().out == expected
+    assert "1 problem(s) left out of the rank table: b" in caplog.text
+
+
+def test_start_up_does_not_import_scipy():
+    code = "import tseval.cli, tseval, sys; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(tseval.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_determinism_of_benchmark_command(tmp_path):

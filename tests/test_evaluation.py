@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tseval import (
     EstimationResult,
@@ -262,3 +263,21 @@ def test_bayes_sign_test_validation():
         bayes_sign_test([1.0], rope_low=2.0, rope_high=-2.0)
     with pytest.raises(ValueError):
         bayes_sign_test([1.0], prior_strength=-1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.int64,
+        st.tuples(st.integers(min_value=1, max_value=60), st.just(11)),
+        elements=st.integers(min_value=0, max_value=3),
+    )
+)
+def test_average_ranks_match_scipy_rankdata(matrix):
+    stats = pytest.importorskip("scipy.stats")
+    A = matrix.astype(float)
+    ranks = stats.rankdata(A, axis=1, method="average")
+    table = average_ranks(A, [f"m{i}" for i in range(11)])
+    sd = ranks.std(axis=0, ddof=1) if A.shape[0] > 1 else np.zeros(11)
+    assert table.mean_rank.tobytes() == ranks.mean(axis=0).tobytes()
+    assert table.sd_rank.tobytes() == sd.tobytes()

@@ -1,6 +1,11 @@
+import math
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import tseval.stationarity
 from tseval import (
     KPSS_CRITICAL_5PCT,
     TimeSeries,
@@ -109,3 +114,48 @@ def test_wavelet_uses_most_recent_power_of_two():
     rng = np.random.default_rng(4)
     result = wavelet_stationarity_test(TimeSeries(rng.normal(size=700)))
     assert result.n_used == 512
+
+
+def _oracle_series():
+    """Seeded walks, level shifts, variance breaks and noise of varied length."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        yield np.cumsum(rng.normal(size=300))
+        yield rng.normal(size=400) + np.where(np.arange(400) < 200, 0.0, 1.5)
+        yield np.concatenate([rng.normal(0, 1, 128), rng.normal(0, 1.8, 128)])
+        yield rng.normal(size=int(rng.integers(64, 520)))
+    yield np.cumsum(np.random.default_rng(1).normal(size=1024) + 0.05)
+
+
+def test_wavelet_normal_tails_match_scipy(monkeypatch):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    from scipy.special import ndtr
+
+    norm = scipy_stats.norm
+    # ndtr(-z) is the value norm.sf(z) returns, without its per-call overhead
+    z = np.linspace(0.0, 40.0, 401)
+    assert ndtr(-z).tobytes() == norm.sf(z).tobytes()
+    cases = [
+        (TimeSeries(y), alpha, correction)
+        for y in _oracle_series()
+        for alpha in (0.01, 0.05, 0.1)
+        for correction in ("bonferroni", "fdr")
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(tseval.stationarity, "NormalDist",
+                      lambda: SimpleNamespace(inv_cdf=lambda q: float(norm.ppf(q))))
+        # the p-value is erfc(z / sqrt 2); x * sqrt 2 gives back z to an ulp
+        patch.setattr(tseval.stationarity, "math", SimpleNamespace(
+            sqrt=math.sqrt, erfc=lambda x: 2.0 * float(ndtr(-x * math.sqrt(2.0)))))
+        expected = [wavelet_stationarity_test(*case) for case in cases]
+    assert [wavelet_stationarity_test(*case) for case in cases] == expected
+    # rejection totals that scipy's norm gave on these cases; patching the
+    # functions alone cannot catch a wrong formula around them
+    totals = Counter()
+    for result, (_, alpha, correction) in zip(expected, cases):
+        totals[correction, alpha] += len(result.rejections)
+    assert totals == {
+        ("bonferroni", 0.01): 8, ("bonferroni", 0.05): 30, ("bonferroni", 0.1): 85,
+        ("fdr", 0.01): 181, ("fdr", 0.05): 522, ("fdr", 0.1): 802,
+    }
+    assert {result.stationary for result in expected} == {True, False}
