@@ -27,13 +27,20 @@ from .harness import (
     ExperimentOutcome,
     MethodComparison,
     compare_to_baseline,
-    derive_seed,
     read_results_csv,
     reproduce_synthetic,
     results_to_csv,
     run_experiment,
 )
-from .learners import FittedModel, LearnerSpec, fit, kkt_violation, lambda_max, predict
+from .learners import (
+    KnnModel,
+    LassoModel,
+    LearnerSpec,
+    fit,
+    kkt_violation,
+    lambda_max,
+    predict,
+)
 from .series import (
     TimeSeries,
     difference,
@@ -53,7 +60,6 @@ from .splitters import (
     plan_cv_bl,
     plan_cv_hvbl,
     plan_cv_mod,
-    plan_from_json,
     plan_holdout,
     plan_preq_bls,
     plan_preq_bls_gap,
@@ -61,7 +67,6 @@ from .splitters import (
     plan_preq_sld_bls,
     plan_preq_slide,
     plan_rep_holdout,
-    plan_to_json,
 )
 from .stationarity import (
     KPSS_CRITICAL_5PCT,
@@ -75,6 +80,7 @@ from .synthetic import (
     DGPSpec,
     S3Coefficients,
     default_s3_coefficients,
+    derive_seed,
     fit_seasonal_ar,
     monte_carlo,
     positivize,

@@ -13,6 +13,11 @@ override the file; an explicit ``--csv`` replaces the file's list rather
 than adding to it. Flags must be spelled out in full: an abbreviation such as
 ``--cs`` for ``--csv`` is a usage error.
 
+Output files and stdout use ``\n`` line endings on every platform. The rank
+and Bayes tables are formatted in one place each, so a table written to a
+file (``--ranks``, ``rank --out``, ``compare --out``) holds the same bytes as
+the one printed.
+
 Exit codes: 0 on success, 1 on fatal errors, 2 when some problems or methods
 failed but the run completed. Fatal errors include usage errors: an unknown
 flag or config key, a missing required flag, or a bad value, whether given on
@@ -33,8 +38,9 @@ from .embedding import embed as embed_rows
 from .embedding import estimate_embedding_dimension
 from .harness import (
     ExperimentConfig,
+    comparisons_csv,
     compare_to_baseline,
-    rank_table_to_csv,
+    rank_table_csv,
     read_results_csv,
     reproduce_synthetic,
     results_rank_table,
@@ -246,7 +252,7 @@ def _cmd_simulate(args) -> int:
             write_csv(series, out / f"{series.name}.csv")
         logger.info("wrote %d series to %s", len(stream), out)
     if args.long_csv:
-        with Path(args.long_csv).open("w", encoding="utf-8") as fh:
+        with Path(args.long_csv).open("w", newline="", encoding="utf-8") as fh:
             fh.write("trial,t,value\n")
             for trial, series in enumerate(stream):
                 for t, value in enumerate(series.values):
@@ -254,14 +260,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _write(text: str, path) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when there is none."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8", newline="")
+    else:
+        sys.stdout.write(text)
+
+
 def _finish_experiment(outcome, args) -> int:
     results_to_csv(outcome.results, args.out)
-    if getattr(args, "ranks", None) and outcome.rank_table is not None:
-        rank_table_to_csv(outcome.rank_table, args.ranks)
     if outcome.rank_table is not None:
-        print("method,mean_rank,sd_rank")
-        for method, mean, sd in outcome.rank_table.sorted_methods():
-            print(f"{method},{mean!r},{sd!r}")
+        text = rank_table_csv(outcome.rank_table)
+        if args.ranks:
+            _write(text, args.ranks)
+        sys.stdout.write(text)
     if outcome.failures:
         logger.warning("%d (problem, method) pairs failed", len(outcome.failures))
         _warn_left_out(dict.fromkeys(problem for problem, _, _ in outcome.failures))
@@ -310,10 +323,7 @@ def _cmd_benchmark(args) -> int:
     )
     code = _finish_experiment(outcome, args)
     if comparisons:
-        print("method,baseline,p_left,p_rope,p_right")
-        for c in comparisons:
-            o = c.outcome
-            print(f"{c.method},{c.baseline},{o.p_left!r},{o.p_rope!r},{o.p_right!r}")
+        sys.stdout.write(comparisons_csv(comparisons))
     return code
 
 
@@ -327,12 +337,7 @@ def _cmd_rank(args) -> int:
     table = results_rank_table(results, methods)
     if table is None:
         raise ValueError("no problem has results for every method")
-    if args.out:
-        rank_table_to_csv(table, args.out)
-    else:
-        print("method,mean_rank,sd_rank")
-        for method, mean, sd in table.sorted_methods():
-            print(f"{method},{mean!r},{sd!r}")
+    _write(rank_table_csv(table), args.out)
     return 0
 
 
@@ -347,15 +352,7 @@ def _cmd_compare(args) -> int:
         base_seed=args.seed,
         normalization=args.normalization,
     )
-    lines = ["method,baseline,p_left,p_rope,p_right"]
-    for c in comparisons:
-        o = c.outcome
-        lines.append(f"{c.method},{c.baseline},{o.p_left!r},{o.p_rope!r},{o.p_right!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(comparisons_csv(comparisons), args.out)
     return 0
 
 
@@ -390,7 +387,7 @@ def _cmd_embed(args) -> int:
     print(f"p={p}")
     if args.out:
         dataset = embed_rows(series, p)
-        with Path(args.out).open("w", encoding="utf-8") as fh:
+        with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
             headers = ["target_time"] + [f"x{i + 1}" for i in range(p)] + ["y"]
             fh.write(",".join(headers) + "\n")
             for row, target, tt in zip(

@@ -116,10 +116,8 @@ def run_plan(
     sse = 0.0
     count = 0
     for it in plan.iterations:
-        train = np.fromiter(it.train, dtype=int)
-        test = np.fromiter(it.test, dtype=int)
-        model = fit(learner, X[train], y[train])
-        errors = predict(model, X[test]) - y[test]
+        model = fit(learner, X[it.train], y[it.train])
+        errors = predict(model, X[it.test]) - y[it.test]
         fold_losses.append(float(np.sqrt(np.mean(errors**2))))
         sse += float(errors @ errors)
         count += errors.size

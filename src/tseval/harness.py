@@ -4,7 +4,7 @@ against ground truth, and aggregate ranks and Bayes comparisons."""
 from __future__ import annotations
 
 import csv
-import hashlib
+import io
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -25,19 +25,19 @@ from .evaluation import (
 from .learners import LearnerSpec
 from .series import TimeSeries, estimation_validation_split, load_csv
 from .splitters import METHODS
-from .synthetic import DGPSpec, monte_carlo
+from .synthetic import DGPSpec, derive_seed, monte_carlo
 
 __all__ = [
     "RESULTS_HEADER",
     "ExperimentConfig",
     "ExperimentOutcome",
     "MethodComparison",
-    "derive_seed",
     "run_experiment",
     "reproduce_synthetic",
     "results_to_csv",
     "read_results_csv",
-    "rank_table_to_csv",
+    "rank_table_csv",
+    "comparisons_csv",
     "results_rank_table",
     "compare_to_baseline",
 ]
@@ -102,13 +102,6 @@ class MethodComparison:
     method: str
     baseline: str
     outcome: BayesSignResult
-
-
-def derive_seed(base_seed: int, *parts) -> int:
-    """Stable 63-bit seed from the base seed and any labels; adding methods
-    or problems never perturbs the seeds of the existing ones."""
-    key = ":".join([str(base_seed), *map(str, parts)]).encode()
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") >> 1
 
 
 def _problems(config: ExperimentConfig) -> list[TimeSeries]:
@@ -294,22 +287,20 @@ def reproduce_synthetic(
     return outcome, comparisons
 
 
+def _csv_text(header: list[str], rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def results_to_csv(results, path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(RESULTS_HEADER + "\n")
-        writer = csv.writer(fh)
-        for r in results:
-            writer.writerow(
-                [
-                    r.problem_id,
-                    r.method,
-                    repr(r.estimate),
-                    repr(r.true_loss),
-                    repr(r.apae),
-                    repr(r.pae),
-                    repr(r.pct_diff),
-                ]
-            )
+    rows = (
+        [r.problem_id, r.method, *map(repr, (r.estimate, r.true_loss, r.apae, r.pae, r.pct_diff))]
+        for r in results
+    )
+    Path(path).write_text(_csv_text(RESULTS_HEADER.split(","), rows), encoding="utf-8", newline="")
 
 
 def read_results_csv(path) -> list[EstimationResult]:
@@ -333,9 +324,21 @@ def read_results_csv(path) -> list[EstimationResult]:
         ]
 
 
-def rank_table_to_csv(table: RankTable, path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write("method,mean_rank,sd_rank\n")
-        writer = csv.writer(fh)
-        for method, mean, sd in table.sorted_methods():
-            writer.writerow([method, repr(mean), repr(sd)])
+def rank_table_csv(table: RankTable) -> str:
+    """The rank table as CSV text, best mean rank first."""
+    return _csv_text(
+        ["method", "mean_rank", "sd_rank"],
+        ([method, repr(mean), repr(sd)] for method, mean, sd in table.sorted_methods()),
+    )
+
+
+def comparisons_csv(comparisons) -> str:
+    """Bayes sign-test outcomes as CSV text, one row per compared method."""
+    return _csv_text(
+        ["method", "baseline", "p_left", "p_rope", "p_right"],
+        (
+            [c.method, c.baseline, repr(c.outcome.p_left), repr(c.outcome.p_rope),
+             repr(c.outcome.p_right)]
+            for c in comparisons
+        ),
+    )

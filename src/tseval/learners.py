@@ -17,7 +17,8 @@ import numpy as np
 
 __all__ = [
     "LearnerSpec",
-    "FittedModel",
+    "LassoModel",
+    "KnnModel",
     "fit",
     "predict",
     "lambda_max",
@@ -60,20 +61,30 @@ class LearnerSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class FittedModel:
-    kind: str
+class LassoModel:
+    """Linear fit in the original units, plus the standardized solution and
+    penalty that :func:`kkt_violation` checks."""
+
     p: int
-    # lasso
-    coefficients: np.ndarray | None = None
-    intercept: float = 0.0
-    std_coefficients: np.ndarray | None = None
-    column_means: np.ndarray | None = None
-    column_scales: np.ndarray | None = None
-    lam: float = 0.0
-    # knn
-    train_predictors: np.ndarray | None = None
-    train_targets: np.ndarray | None = None
-    k: int = 0
+    coefficients: np.ndarray
+    intercept: float
+    std_coefficients: np.ndarray
+    column_means: np.ndarray
+    column_scales: np.ndarray
+    lam: float
+
+
+@dataclass(frozen=True, eq=False)
+class KnnModel:
+    """The training rows that k-NN averages over."""
+
+    predictors: np.ndarray
+    targets: np.ndarray
+    k: int
+
+    @property
+    def p(self) -> int:
+        return self.predictors.shape[1]
 
 
 def _validate_xy(predictors, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -203,15 +214,14 @@ def _lasso_path(
     return beta, False
 
 
-def _fit_lasso(spec: LearnerSpec, X: np.ndarray, y: np.ndarray) -> FittedModel:
+def _fit_lasso(spec: LearnerSpec, X: np.ndarray, y: np.ndarray) -> LassoModel:
     n, p = X.shape
     mu, sigma, G, c = _standardized_gram(X, y)
     live = sigma > 0
     scales = np.where(live, sigma, 1.0)
     ybar = float(y.mean())
     if n < 2 or not live.any():
-        return FittedModel(
-            kind="lasso",
+        return LassoModel(
             p=p,
             coefficients=np.zeros(p),
             intercept=ybar,
@@ -232,8 +242,7 @@ def _fit_lasso(spec: LearnerSpec, X: np.ndarray, y: np.ndarray) -> FittedModel:
             stacklevel=3,
         )
     coef = beta / scales
-    return FittedModel(
-        kind="lasso",
+    return LassoModel(
         p=p,
         coefficients=coef,
         intercept=ybar - float(coef @ mu),
@@ -244,7 +253,7 @@ def _fit_lasso(spec: LearnerSpec, X: np.ndarray, y: np.ndarray) -> FittedModel:
     )
 
 
-def fit(spec: LearnerSpec, predictors, targets) -> FittedModel:
+def fit(spec: LearnerSpec, predictors, targets) -> LassoModel | KnnModel:
     """Train a learner; see :class:`LearnerSpec` for the configuration."""
     X, y = _validate_xy(predictors, targets)
     if spec.kind == "knn":
@@ -253,36 +262,30 @@ def fit(spec: LearnerSpec, predictors, targets) -> FittedModel:
                 f"knn with k={spec.k} needs at least {spec.k} training rows, "
                 f"got {X.shape[0]}"
             )
-        return FittedModel(
-            kind="knn",
-            p=X.shape[1],
-            train_predictors=X.copy(),
-            train_targets=y.copy(),
-            k=spec.k,
-        )
+        return KnnModel(X.copy(), y.copy(), spec.k)
     return _fit_lasso(spec, X, y)
 
 
-def predict(model: FittedModel, predictors) -> np.ndarray:
+def predict(model: LassoModel | KnnModel, predictors) -> np.ndarray:
     """Predict targets for an m x p matrix of predictor rows."""
     X = np.atleast_2d(np.asarray(predictors, dtype=float))
     if X.shape[1] != model.p:
         raise ValueError(f"model expects {model.p} predictors, got {X.shape[1]}")
-    if model.kind == "lasso":
+    if isinstance(model, LassoModel):
         return X @ model.coefficients + model.intercept
-    diff = X[:, None, :] - model.train_predictors[None, :, :]
+    diff = X[:, None, :] - model.predictors[None, :, :]
     dist = np.einsum("mnp,mnp->mn", diff, diff)
     nearest = np.argsort(dist, axis=1, kind="stable")[:, : model.k]
-    return model.train_targets[nearest].mean(axis=1)
+    return model.targets[nearest].mean(axis=1)
 
 
-def kkt_violation(model: FittedModel, predictors, targets) -> float:
+def kkt_violation(model: LassoModel, predictors, targets) -> float:
     """Worst stationarity residual of a lasso fit on its training data.
 
     For active coefficients the standardized-gradient magnitude must equal
     the penalty; for inactive ones it must not exceed it.
     """
-    if model.kind != "lasso":
+    if not isinstance(model, LassoModel):
         raise ValueError("KKT residual is defined for lasso models only")
     X, y = _validate_xy(predictors, targets)
     Xs = (X - model.column_means) / model.column_scales

@@ -114,7 +114,7 @@ def load_csv(path, column: str | int = 0, name: str | None = None) -> TimeSeries
 def write_csv(series: TimeSeries, path, header: str = "y") -> None:
     """Write a series as one observation per row, with a header row."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([header])
         for v in series.values:
             writer.writerow([repr(float(v))])

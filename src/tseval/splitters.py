@@ -10,11 +10,15 @@ Two families:
 
 Block convention everywhere: n rows split into K contiguous blocks in
 temporal order, the first (n mod K) blocks one row larger.
+
+Each iteration holds its train, test and gap rows as strictly increasing,
+read-only integer arrays, ready to index the embedded rows with. ``gap``
+only records the rows a method keeps out of both sides (empty for most
+methods); nothing reads it to fit or score.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +42,6 @@ __all__ = [
     "plan_preq_grow",
     "plan_preq_slide",
     "build_plan",
-    "plan_to_json",
-    "plan_from_json",
 ]
 
 CV_METHODS = ("CV", "CV-Bl", "CV-Mod", "CV-hvBl")
@@ -59,25 +61,37 @@ class EmptyTrainingSetError(ValueError):
     """Raised when proximity removal leaves an iteration without training rows."""
 
 
-@dataclass(frozen=True)
+def _overlap(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two strictly increasing index arrays share an entry."""
+    if not (a.size and b.size) or a[-1] < b[0] or b[-1] < a[0]:
+        return False
+    return bool((a.searchsorted(b, "right") != a.searchsorted(b)).any())
+
+
+@dataclass(frozen=True, eq=False)
 class Iteration:
     """One train/test assignment; ``gap`` holds rows excluded from both."""
 
-    train: tuple[int, ...]
-    test: tuple[int, ...]
-    gap: tuple[int, ...] = ()
+    train: np.ndarray
+    test: np.ndarray
+    gap: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        if not self.train or not self.test:
+        for name in ("train", "test", "gap"):
+            part = np.asarray(getattr(self, name), dtype=np.intp)
+            if part.ndim != 1 or (part[1:] <= part[:-1]).any():
+                raise ValueError(f"{name} must be a strictly increasing index sequence")
+            part.flags.writeable = False
+            object.__setattr__(self, name, part)
+        if not self.train.size or not self.test.size:
             raise ValueError("train and test must be non-empty")
-        train, test, gap = set(self.train), set(self.test), set(self.gap)
-        if train & test:
+        if _overlap(self.train, self.test):
             raise ValueError("train and test overlap")
-        if gap & (train | test):
+        if _overlap(self.gap, self.train) or _overlap(self.gap, self.test):
             raise ValueError("gap overlaps train or test")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResamplingPlan:
     method: str
     n: int
@@ -87,8 +101,15 @@ class ResamplingPlan:
     def __post_init__(self) -> None:
         for it in self.iterations:
             for part in (it.train, it.test, it.gap):
-                if part and (min(part) < 0 or max(part) >= self.n):
+                if part.size and (part[0] < 0 or part[-1] >= self.n):
                     raise ValueError(f"index out of range [0, {self.n})")
+
+
+def _rows(n: int) -> np.ndarray:
+    """Read-only 0..n-1; contiguous parts are slices (views) of it."""
+    rows = np.arange(n)
+    rows.flags.writeable = False
+    return rows
 
 
 def _block_bounds(n: int, K: int) -> np.ndarray:
@@ -106,38 +127,33 @@ def _check_k(n: int, K: int, minimum: int = 2) -> None:
         raise ValueError(f"K={K} exceeds row count n={n}")
 
 
-def _as_tuple(indices) -> tuple[int, ...]:
-    return tuple(int(i) for i in indices)
-
-
-def plan_cv(n: int, K: int, seed: int | None = None, shuffle: bool = True) -> ResamplingPlan:
+def plan_cv(n: int, K: int, seed: int | None = None) -> ResamplingPlan:
     """Randomized K-fold cross-validation over a seeded shuffle of the rows.
 
-    ``shuffle=False`` is a test hook that reduces the plan to blocked CV.
+    The folds are the K blocks of ``default_rng(seed).permutation(n)``, each
+    sorted.
     """
     _check_k(n, K)
-    order = np.arange(n)
-    if shuffle:
-        order = np.random.default_rng(seed).permutation(n)
+    order = np.random.default_rng(seed).permutation(n)
     bounds = _block_bounds(n, K)
     iterations = []
     for i in range(K):
         test = np.sort(order[bounds[i] : bounds[i + 1]])
         mask = np.ones(n, dtype=bool)
         mask[test] = False
-        iterations.append(Iteration(_as_tuple(np.flatnonzero(mask)), _as_tuple(test)))
+        iterations.append(Iteration(np.flatnonzero(mask), test))
     return ResamplingPlan("CV", n, tuple(iterations), {"K": K, "seed": seed})
 
 
 def plan_cv_bl(n: int, K: int) -> ResamplingPlan:
     """Blocked K-fold cross-validation: contiguous test blocks, no shuffling."""
     _check_k(n, K)
-    bounds = _block_bounds(n, K)
-    iterations = []
-    for i in range(K):
-        test = range(bounds[i], bounds[i + 1])
-        train = [j for j in range(n) if j < bounds[i] or j >= bounds[i + 1]]
-        iterations.append(Iteration(_as_tuple(train), _as_tuple(test)))
+    rows = _rows(n)
+    b = _block_bounds(n, K)
+    iterations = [
+        Iteration(np.concatenate((rows[: b[i]], rows[b[i + 1] :])), rows[b[i] : b[i + 1]])
+        for i in range(K)
+    ]
     return ResamplingPlan("CV-Bl", n, tuple(iterations), {"K": K})
 
 
@@ -146,16 +162,13 @@ def _remove_near(base: ResamplingPlan, p: int, method: str, params: dict) -> Res
         raise ValueError("removal radius p must be >= 1")
     iterations = []
     for k, it in enumerate(base.iterations):
-        test = np.asarray(it.test)
-        train = np.asarray(it.train)
-        near = np.abs(train[:, None] - test[None, :]).min(axis=1) <= p
-        kept = train[~near]
-        if kept.size == 0:
+        near = np.abs(it.train[:, None] - it.test[None, :]).min(axis=1) <= p
+        if near.all():
             raise EmptyTrainingSetError(
                 f"{method}: empty training set in iteration {k} "
                 f"(removal radius {p} covers every training row)"
             )
-        iterations.append(Iteration(_as_tuple(kept), it.test, _as_tuple(train[near])))
+        iterations.append(Iteration(it.train[~near], it.test, it.train[near]))
     return ResamplingPlan(method, base.n, tuple(iterations), params)
 
 
@@ -178,7 +191,8 @@ def plan_holdout(n: int, train_fraction: float = 0.7) -> ResamplingPlan:
         raise ValueError(
             f"train fraction {train_fraction} of {n} rows leaves a degenerate side"
         )
-    it = Iteration(_as_tuple(range(cut)), _as_tuple(range(cut, n)))
+    rows = _rows(n)
+    it = Iteration(rows[:cut], rows[cut:])
     return ResamplingPlan("Holdout", n, (it,), {"train_fraction": train_fraction})
 
 
@@ -210,12 +224,11 @@ def plan_rep_holdout(
     if lo > hi:
         raise ValueError(f"no admissible cut point for n={n}")
     rng = np.random.default_rng(seed)
+    rows = _rows(n)
     iterations = []
     for _ in range(nreps):
         a = int(rng.integers(lo, hi + 1))
-        iterations.append(
-            Iteration(_as_tuple(range(a - train_size, a)), _as_tuple(range(a, a + test_size)))
-        )
+        iterations.append(Iteration(rows[a - train_size : a], rows[a : a + test_size]))
     params = {
         "nreps": nreps,
         "train_fraction": train_fraction,
@@ -228,11 +241,9 @@ def plan_rep_holdout(
 def plan_preq_bls(n: int, K: int) -> ResamplingPlan:
     """Prequential in blocks, growing: train on blocks 1..i, test on block i+1."""
     _check_k(n, K)
+    rows = _rows(n)
     b = _block_bounds(n, K)
-    iterations = [
-        Iteration(_as_tuple(range(0, b[i])), _as_tuple(range(b[i], b[i + 1])))
-        for i in range(1, K)
-    ]
+    iterations = [Iteration(rows[: b[i]], rows[b[i] : b[i + 1]]) for i in range(1, K)]
     return ResamplingPlan("Preq-Bls", n, tuple(iterations), {"K": K})
 
 
@@ -241,13 +252,12 @@ def plan_preq_sld_bls(n: int, K: int, window_blocks: int = 1) -> ResamplingPlan:
     _check_k(n, K)
     if window_blocks < 1:
         raise ValueError("window_blocks must be >= 1")
+    rows = _rows(n)
     b = _block_bounds(n, K)
-    iterations = []
-    for i in range(1, K):
-        lo = b[max(0, i - window_blocks)]
-        iterations.append(
-            Iteration(_as_tuple(range(lo, b[i])), _as_tuple(range(b[i], b[i + 1])))
-        )
+    iterations = [
+        Iteration(rows[b[max(0, i - window_blocks)] : b[i]], rows[b[i] : b[i + 1]])
+        for i in range(1, K)
+    ]
     params = {"K": K, "window_blocks": window_blocks}
     return ResamplingPlan("Preq-Sld-Bls", n, tuple(iterations), params)
 
@@ -255,13 +265,10 @@ def plan_preq_sld_bls(n: int, K: int, window_blocks: int = 1) -> ResamplingPlan:
 def plan_preq_bls_gap(n: int, K: int) -> ResamplingPlan:
     """Prequential in blocks with one untouched block between train and test."""
     _check_k(n, K, minimum=3)
+    rows = _rows(n)
     b = _block_bounds(n, K)
     iterations = [
-        Iteration(
-            _as_tuple(range(0, b[i])),
-            _as_tuple(range(b[i + 1], b[i + 2])),
-            _as_tuple(range(b[i], b[i + 1])),
-        )
+        Iteration(rows[: b[i]], rows[b[i + 1] : b[i + 2]], rows[b[i] : b[i + 1]])
         for i in range(1, K - 1)
     ]
     return ResamplingPlan("Preq-Bls-Gap", n, tuple(iterations), {"K": K})
@@ -277,8 +284,9 @@ def plan_preq_grow(n: int, initial_window: int, refit_interval: int = 1) -> Resa
         raise ValueError(f"initial_window must lie in [1, {n - 1}], got {initial_window}")
     if refit_interval < 1:
         raise ValueError("refit_interval must be >= 1")
+    rows = _rows(n)
     iterations = [
-        Iteration(_as_tuple(range(0, j)), _as_tuple(range(j, min(j + refit_interval, n))))
+        Iteration(rows[:j], rows[j : j + refit_interval])
         for j in range(initial_window, n, refit_interval)
     ]
     params = {"initial_window": initial_window, "refit_interval": refit_interval}
@@ -291,11 +299,9 @@ def plan_preq_slide(n: int, window: int, refit_interval: int = 1) -> ResamplingP
         raise ValueError(f"window must lie in [1, {n - 1}], got {window}")
     if refit_interval < 1:
         raise ValueError("refit_interval must be >= 1")
+    rows = _rows(n)
     iterations = [
-        Iteration(
-            _as_tuple(range(j - window, j)),
-            _as_tuple(range(j, min(j + refit_interval, n))),
-        )
+        Iteration(rows[j - window : j], rows[j : j + refit_interval])
         for j in range(window, n, refit_interval)
     ]
     return ResamplingPlan("Preq-Slide", n, tuple(iterations), {"window": window, "refit_interval": refit_interval})
@@ -308,20 +314,14 @@ def build_plan(
     K: int = 10,
     p: int = 1,
     nreps: int = 10,
-    train_fraction: float = 0.7,
-    rep_train_fraction: float = 0.6,
-    rep_test_fraction: float = 0.1,
     seed: int | None = None,
-    initial_window: int | None = None,
-    window: int | None = None,
-    refit_interval: int = 1,
-    window_blocks: int = 1,
 ) -> ResamplingPlan:
     """Dispatch to the named procedure with study defaults.
 
-    Preq-Grow and Preq-Slide default to a warm-up/window of half the rows;
-    a window of only one block starves the learner and distorts the loss
-    estimate far beyond what any of the block methods exhibit.
+    Preq-Grow and Preq-Slide use a warm-up/window of half the rows; a window
+    of only one block starves the learner and distorts the loss estimate far
+    beyond what any of the block methods exhibit. Other settings take the
+    ``plan_*`` defaults.
     """
     if method == "CV":
         return plan_cv(n, K, seed)
@@ -332,39 +332,17 @@ def build_plan(
     if method == "CV-hvBl":
         return plan_cv_hvbl(n, K, p)
     if method == "Holdout":
-        return plan_holdout(n, train_fraction)
+        return plan_holdout(n)
     if method == "Rep-Holdout":
-        return plan_rep_holdout(n, nreps, rep_train_fraction, rep_test_fraction, seed)
+        return plan_rep_holdout(n, nreps, seed=seed)
     if method == "Preq-Bls":
         return plan_preq_bls(n, K)
     if method == "Preq-Sld-Bls":
-        return plan_preq_sld_bls(n, K, window_blocks)
+        return plan_preq_sld_bls(n, K)
     if method == "Preq-Bls-Gap":
         return plan_preq_bls_gap(n, K)
     if method == "Preq-Grow":
-        return plan_preq_grow(n, initial_window or max(1, n // 2), refit_interval)
+        return plan_preq_grow(n, max(1, n // 2))
     if method == "Preq-Slide":
-        return plan_preq_slide(n, window or max(1, n // 2), refit_interval)
+        return plan_preq_slide(n, max(1, n // 2))
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
-def plan_to_json(plan: ResamplingPlan) -> str:
-    payload = {
-        "method": plan.method,
-        "n": plan.n,
-        "params": plan.params,
-        "iterations": [
-            {"train": list(it.train), "test": list(it.test), "gap": list(it.gap)}
-            for it in plan.iterations
-        ],
-    }
-    return json.dumps(payload)
-
-
-def plan_from_json(text: str) -> ResamplingPlan:
-    payload = json.loads(text)
-    iterations = tuple(
-        Iteration(tuple(it["train"]), tuple(it["test"]), tuple(it.get("gap", ())))
-        for it in payload["iterations"]
-    )
-    return ResamplingPlan(payload["method"], payload["n"], iterations, payload.get("params", {}))

@@ -13,6 +13,7 @@ construction. Every generated series is shifted to a minimum of exactly 1.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -37,7 +38,7 @@ __all__ = [
     "simulate_s3",
     "simulate",
     "monte_carlo",
-    "derive_trial_seed",
+    "derive_seed",
 ]
 
 DGP_KINDS = ("s1", "s2", "s3")
@@ -237,18 +238,21 @@ def default_s3_coefficients() -> S3Coefficients:
     return S3Coefficients(intercept=float(coef[0]), seasonal=float(coef[1]))
 
 
-def derive_trial_seed(base_seed: int, trial: int) -> int:
-    if base_seed < 0 or trial < 0:
-        raise ValueError("base_seed and trial must be non-negative")
-    return base_seed ^ trial
+def derive_seed(base_seed: int, *parts) -> int:
+    """Stable 63-bit seed from the base seed and any labels; adding methods,
+    problems or trials never perturbs the seeds of the existing ones."""
+    key = ":".join([str(base_seed), *map(str, parts)]).encode()
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") >> 1
 
 
 def monte_carlo(dgp: DGPSpec, trials: int, base_seed: int):
-    """Yield ``trials`` independent series; trial i is seeded with base_seed XOR i,
-    so a given (dgp, trials, base_seed) always reproduces the same stream."""
+    """Yield ``trials`` independent series; trial i is seeded with
+    ``derive_seed(base_seed, "trial", i)``, so a given (dgp, trials,
+    base_seed) always reproduces the same stream and different base seeds
+    give unrelated streams."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     for trial in range(trials):
-        rng = np.random.default_rng(derive_trial_seed(base_seed, trial))
+        rng = np.random.default_rng(derive_seed(base_seed, "trial", trial))
         series = simulate(dgp, rng)
         yield TimeSeries(series.values, name=f"{dgp.kind}-{trial:04d}")

@@ -87,6 +87,46 @@ def test_evaluate_then_rank_and_compare(tmp_path, capsys):
     assert len(compared) == 4
 
 
+def _two_walks(tmp_path):
+    rng = np.random.default_rng(4)
+    paths = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.csv"
+        write_csv(TimeSeries(np.cumsum(rng.normal(size=150)) + 40.0, name=name), path)
+        paths += ["--csv", str(path)]
+    return paths
+
+
+def test_every_written_file_has_newline_endings(tmp_path):
+    sims = tmp_path / "sims"
+    assert run_cli("simulate", "--dgp", "s2", "--trials", "2", "--length", "30",
+                   "--out-dir", str(sims), "--long-csv", str(tmp_path / "long.csv")) == 0
+    assert run_cli("benchmark", "--dgp", "s1", "--trials", "2", "--bayes-samples", "500",
+                   "--out", str(tmp_path / "bench.csv"),
+                   "--ranks", str(tmp_path / "bench-ranks.csv")) == 0
+    results = tmp_path / "results.csv"
+    assert run_cli("evaluate", *_two_walks(tmp_path), "--p", "3", "--out", str(results),
+                   "--ranks", str(tmp_path / "ranks.csv")) == 0
+    assert run_cli("rank", "--results", str(results), "--out", str(tmp_path / "rank.csv")) == 0
+    assert run_cli("compare", "--results", str(results), "--samples", "500",
+                   "--out", str(tmp_path / "compare.csv")) == 0
+    assert run_cli("embed", "--csv", str(sims / "s2-0000.csv"), "--p", "2",
+                   "--out", str(tmp_path / "rows.csv")) == 0
+    written = list(tmp_path.rglob("*.csv"))  # with the inputs a.csv and b.csv
+    assert len(written) == 12
+    for path in written:
+        assert b"\r" not in path.read_bytes(), path.name
+
+
+def test_rank_stdout_equals_evaluate_ranks_file(tmp_path, capsys):
+    results, ranks = tmp_path / "results.csv", tmp_path / "ranks.csv"
+    assert run_cli("evaluate", *_two_walks(tmp_path), "--p", "3", "--out", str(results),
+                   "--ranks", str(ranks), "--methods", "Holdout,CV,Preq-Bls,Rep-Holdout") == 0
+    assert capsys.readouterr().out.encode() == ranks.read_bytes()
+    assert run_cli("rank", "--results", str(results)) == 0
+    assert capsys.readouterr().out.encode() == ranks.read_bytes()
+
+
 def test_evaluate_auto_embedding(tmp_path):
     y = np.sin(2 * np.pi * np.arange(400) / 20.0) + 0.05 * np.random.default_rng(0).normal(size=400)
     series_path = tmp_path / "wave.csv"

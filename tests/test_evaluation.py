@@ -18,6 +18,7 @@ from tseval import (
     estimate_loss,
     pae,
     pct_diff,
+    plan_preq_grow,
     rmse,
     run_plan,
     true_loss,
@@ -172,7 +173,7 @@ def test_two_fold_knn_matches_hand_oracle():
 def test_run_plan_pooled_aggregation():
     series = TimeSeries(np.random.default_rng(5).normal(size=40))
     ds = embed(series, 3)
-    plan = build_plan("Preq-Grow", ds.n, initial_window=10)
+    plan = plan_preq_grow(ds.n, 10)
     spec = LearnerSpec()
     mean_out = run_plan(plan, ds, spec, aggregation="mean_rmse")
     pooled_out = run_plan(plan, ds, spec, aggregation="pooled_rmse")

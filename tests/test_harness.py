@@ -13,7 +13,7 @@ from tseval import (
     run_experiment,
     write_csv,
 )
-from tseval.harness import RESULTS_HEADER, rank_table_to_csv, results_rank_table
+from tseval.harness import RESULTS_HEADER, rank_table_csv, results_rank_table
 
 
 @pytest.fixture()
@@ -133,13 +133,9 @@ def read_write_rows():
     ]
 
 
-def test_rank_table_csv(tmp_path):
+def test_rank_table_csv():
     table = results_rank_table(read_write_rows(), ["A", "B"])
-    path = tmp_path / "ranks.csv"
-    rank_table_to_csv(table, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "method,mean_rank,sd_rank"
-    assert lines[1].startswith("A,")
+    assert rank_table_csv(table) == "method,mean_rank,sd_rank\nA,1.0,0.0\nB,2.0,0.0\n"
 
 
 def test_rank_table_skips_incomplete_problems():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,6 @@ from tseval import (
     plan_cv_bl,
     plan_cv_hvbl,
     plan_cv_mod,
-    plan_from_json,
     plan_holdout,
     plan_preq_bls,
     plan_preq_bls_gap,
@@ -24,17 +21,16 @@ from tseval import (
     plan_preq_sld_bls,
     plan_preq_slide,
     plan_rep_holdout,
-    plan_to_json,
 )
 
 
 def iteration_sets(plan):
-    return [(it.train, it.test, it.gap) for it in plan.iterations]
+    return [[it.train.tolist(), it.test.tolist(), it.gap.tolist()] for it in plan.iterations]
 
 
 def check_common_invariants(plan):
     for it in plan.iterations:
-        assert it.train and it.test
+        assert it.train.size and it.test.size
         assert not set(it.train) & set(it.test)
         assert not set(it.gap) & (set(it.train) | set(it.test))
         for part in (it.train, it.test, it.gap):
@@ -57,6 +53,22 @@ def test_iteration_rejects_overlap_and_empty():
         Iteration((), (1,))
     with pytest.raises(ValueError):
         Iteration((0,), (1,), gap=(0,))
+    with pytest.raises(ValueError):
+        Iteration((1, 0), (2,))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_plan_parts_are_sorted_read_only_int_arrays(method):
+    plan = build_plan(method, 137, K=10, p=2, seed=3)
+    for it in plan.iterations:
+        for part in (it.train, it.test, it.gap):
+            assert isinstance(part, np.ndarray) and part.ndim == 1
+            assert np.issubdtype(part.dtype, np.integer)
+            assert np.all(np.diff(part) > 0)
+            assert not part.flags.writeable
+            if part.size:
+                with pytest.raises(ValueError):
+                    part[0] = -1
 
 
 # --- CV ---------------------------------------------------------------------
@@ -69,8 +81,15 @@ def test_cv_is_partition():
 
 
 def test_cv_without_shuffle_equals_blocked():
-    assert iteration_sets(plan_cv(6, 3, shuffle=False)) == iteration_sets(plan_cv_bl(6, 3))
-    assert iteration_sets(plan_cv(7, 3, shuffle=False)) == iteration_sets(plan_cv_bl(7, 3))
+    # CV's folds are CV-Bl's blocks taken over a seeded permutation of the rows
+    for n, K, seed in ((6, 3, 0), (7, 3, 5), (137, 10, 11)):
+        cv, blocked = plan_cv(n, K, seed=seed), plan_cv_bl(n, K)
+        assert [len(it.test) for it in cv.iterations] == [
+            len(it.test) for it in blocked.iterations
+        ]
+        order = np.random.default_rng(seed).permutation(n)
+        for it, block in zip(cv.iterations, blocked.iterations):
+            assert it.test.tolist() == sorted(order[block.test].tolist())
 
 
 def test_cv_leave_one_out():
@@ -92,13 +111,13 @@ def test_cv_k_too_large():
 
 def test_cv_bl_blocks():
     plan = plan_cv_bl(6, 3)
-    assert plan.iterations[2].test == (4, 5)
-    assert plan.iterations[2].train == (0, 1, 2, 3)
+    assert plan.iterations[2].test.tolist() == [4, 5]
+    assert plan.iterations[2].train.tolist() == [0, 1, 2, 3]
 
 
 def test_cv_bl_remainder_to_earliest():
     plan = plan_cv_bl(7, 3)
-    assert [it.test for it in plan.iterations] == [(0, 1, 2), (3, 4), (5, 6)]
+    assert [it.test.tolist() for it in plan.iterations] == [[0, 1, 2], [3, 4], [5, 6]]
 
 
 def test_cv_bl_block_sizes_195_10():
@@ -112,18 +131,18 @@ def test_cv_bl_block_sizes_195_10():
 def _seed_with_fold(n, K, fold):
     for seed in range(2000):
         for it in plan_cv(n, K, seed=seed).iterations:
-            if it.test == fold:
+            if it.test.tolist() == fold:
                 return seed
     raise AssertionError("no seed produced the wanted fold")
 
 
 def test_cv_mod_exclusion_rule_hand_example():
     # test fold {2, 5} with p=1 must keep train {0, 7} and move {1,3,4,6} to gap
-    seed = _seed_with_fold(8, 4, (2, 5))
+    seed = _seed_with_fold(8, 4, [2, 5])
     plan = plan_cv_mod(8, 4, p=1, seed=seed)
-    it = next(it for it in plan.iterations if it.test == (2, 5))
-    assert it.train == (0, 7)
-    assert it.gap == (1, 3, 4, 6)
+    it = next(it for it in plan.iterations if it.test.tolist() == [2, 5])
+    assert it.train.tolist() == [0, 7]
+    assert it.gap.tolist() == [1, 3, 4, 6]
 
 
 def test_cv_mod_rejects_p_zero():
@@ -150,15 +169,15 @@ def test_cv_mod_radius_invariant():
 def test_cv_hvbl_interior_block():
     plan = plan_cv_hvbl(10, 5, p=1)
     it = plan.iterations[2]
-    assert it.test == (4, 5)
-    assert it.train == (0, 1, 2, 7, 8, 9)
-    assert it.gap == (3, 6)
+    assert it.test.tolist() == [4, 5]
+    assert it.train.tolist() == [0, 1, 2, 7, 8, 9]
+    assert it.gap.tolist() == [3, 6]
 
 
 def test_cv_hvbl_boundary_clip():
     it = plan_cv_hvbl(10, 5, p=1).iterations[0]
-    assert it.test == (0, 1)
-    assert it.gap == (2,)
+    assert it.test.tolist() == [0, 1]
+    assert it.gap.tolist() == [2]
 
 
 def test_cv_hvbl_exclusion_budget():
@@ -172,13 +191,13 @@ def test_cv_hvbl_exclusion_budget():
 
 def test_holdout_70_30():
     plan = plan_holdout(10, 0.7)
-    assert plan.iterations[0].train == tuple(range(7))
-    assert plan.iterations[0].test == (7, 8, 9)
+    assert plan.iterations[0].train.tolist() == list(range(7))
+    assert plan.iterations[0].test.tolist() == [7, 8, 9]
 
 
 def test_holdout_minimal_and_sizes():
     it = plan_holdout(2, 0.5).iterations[0]
-    assert it.train == (0,) and it.test == (1,)
+    assert it.train.tolist() == [0] and it.test.tolist() == [1]
     it = plan_holdout(140, 0.7).iterations[0]
     assert (len(it.train), len(it.test)) == (98, 42)
 
@@ -218,16 +237,16 @@ def test_rep_holdout_infeasible():
 def test_preq_bls_layout():
     plan = plan_preq_bls(10, 5)
     assert iteration_sets(plan) == [
-        ((0, 1), (2, 3), ()),
-        ((0, 1, 2, 3), (4, 5), ()),
-        ((0, 1, 2, 3, 4, 5), (6, 7), ()),
-        ((0, 1, 2, 3, 4, 5, 6, 7), (8, 9), ()),
+        [[0, 1], [2, 3], []],
+        [[0, 1, 2, 3], [4, 5], []],
+        [[0, 1, 2, 3, 4, 5], [6, 7], []],
+        [[0, 1, 2, 3, 4, 5, 6, 7], [8, 9], []],
     ]
 
 
 def test_preq_bls_minimal_and_final_train_size():
     plan = plan_preq_bls(4, 2)
-    assert iteration_sets(plan) == [((0, 1), (2, 3), ())]
+    assert iteration_sets(plan) == [[[0, 1], [2, 3], []]]
     plan = plan_preq_bls(195, 10)
     assert len(plan.iterations) == 9
     assert len(plan.iterations[-1].train) == 176
@@ -236,10 +255,10 @@ def test_preq_bls_minimal_and_final_train_size():
 def test_preq_sld_bls_layout():
     plan = plan_preq_sld_bls(10, 5)
     assert iteration_sets(plan) == [
-        ((0, 1), (2, 3), ()),
-        ((2, 3), (4, 5), ()),
-        ((4, 5), (6, 7), ()),
-        ((6, 7), (8, 9), ()),
+        [[0, 1], [2, 3], []],
+        [[2, 3], [4, 5], []],
+        [[4, 5], [6, 7], []],
+        [[6, 7], [8, 9], []],
     ]
 
 
@@ -249,15 +268,15 @@ def test_preq_sld_bls_first_iteration_matches_growing():
 
 def test_preq_sld_bls_multi_block_window():
     plan = plan_preq_sld_bls(10, 5, window_blocks=2)
-    assert plan.iterations[2].train == (2, 3, 4, 5)
+    assert plan.iterations[2].train.tolist() == [2, 3, 4, 5]
 
 
 def test_preq_bls_gap_layout():
     plan = plan_preq_bls_gap(10, 5)
     assert iteration_sets(plan) == [
-        ((0, 1), (4, 5), (2, 3)),
-        ((0, 1, 2, 3), (6, 7), (4, 5)),
-        ((0, 1, 2, 3, 4, 5), (8, 9), (6, 7)),
+        [[0, 1], [4, 5], [2, 3]],
+        [[0, 1, 2, 3], [6, 7], [4, 5]],
+        [[0, 1, 2, 3, 4, 5], [8, 9], [6, 7]],
     ]
 
 
@@ -268,18 +287,18 @@ def test_preq_bls_gap_needs_three_blocks():
 
 def test_preq_grow_layouts():
     plan = plan_preq_grow(5, initial_window=2, refit_interval=1)
-    assert [it.test for it in plan.iterations] == [(2,), (3,), (4,)]
+    assert [it.test.tolist() for it in plan.iterations] == [[2], [3], [4]]
     assert [len(it.train) for it in plan.iterations] == [2, 3, 4]
     plan = plan_preq_grow(5, initial_window=2, refit_interval=2)
-    assert iteration_sets(plan) == [((0, 1), (2, 3), ()), ((0, 1, 2, 3), (4,), ())]
+    assert iteration_sets(plan) == [[[0, 1], [2, 3], []], [[0, 1, 2, 3], [4], []]]
 
 
 def test_preq_slide_layouts():
     plan = plan_preq_slide(5, window=2, refit_interval=1)
     assert iteration_sets(plan) == [
-        ((0, 1), (2,), ()),
-        ((1, 2), (3,), ()),
-        ((2, 3), (4,), ()),
+        [[0, 1], [2], []],
+        [[1, 2], [3], []],
+        [[2, 3], [4], []],
     ]
 
 
@@ -354,21 +373,7 @@ def test_plans_deterministic(space):
             assert iteration_sets(a) == iteration_sets(c)
 
 
-# --- serialization ------------------------------------------------------------
-
-def test_plan_json_round_trip():
-    plan = plan_cv_mod(30, 5, p=2, seed=3)
-    text = plan_to_json(plan)
-    payload = json.loads(text)
-    assert set(payload) == {"method", "n", "params", "iterations"}
-    assert set(payload["iterations"][0]) == {"train", "test", "gap"}
-    again = plan_from_json(text)
-    assert again.method == plan.method
-    assert again.n == plan.n
-    assert again.params == plan.params
-    assert iteration_sets(again) == iteration_sets(plan)
-
-
 def test_build_plan_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         build_plan("CV-Fancy", 20)
+

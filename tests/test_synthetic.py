@@ -22,7 +22,7 @@ from tseval import (
     simulate_s2,
     simulate_s3,
 )
-from tseval.synthetic import derive_trial_seed, draw_s2_theta
+from tseval.synthetic import derive_seed, draw_s2_theta
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "s3_coefficients.json").read_text())
 
@@ -184,9 +184,13 @@ def test_monte_carlo_deterministic_and_seed_derivation():
     b = [s.values for s in monte_carlo(spec, 3, base_seed=9)]
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
-    assert derive_trial_seed(9, 2) == 9 ^ 2
-    single = simulate_s1(spec, np.random.default_rng(derive_trial_seed(9, 0)))
+    assert derive_seed(9, "trial", 0) == 5728405213831603916
+    assert derive_seed(9, "trial", 2) == 9172746319546877638
+    single = simulate_s1(spec, np.random.default_rng(derive_seed(9, "trial", 0)))
     assert np.array_equal(a[0], single.values)
+    # base seeds 2 and 3 once shared their trial seeds (2 ^ i and 3 ^ i)
+    streams = [s.values.tobytes() for base in (1, 2, 3, 4) for s in monte_carlo(spec, 4, base)]
+    assert len(set(streams)) == 16
 
 
 def test_monte_carlo_names_trials():
