@@ -28,7 +28,6 @@ from .harness import (
     MethodComparison,
     compare_to_baseline,
     read_results_csv,
-    reproduce_synthetic,
     results_to_csv,
     run_experiment,
 )

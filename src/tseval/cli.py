@@ -32,8 +32,6 @@ import sys
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from .embedding import embed as embed_rows
 from .embedding import estimate_embedding_dimension
 from .harness import (
@@ -42,18 +40,19 @@ from .harness import (
     compare_to_baseline,
     rank_table_csv,
     read_results_csv,
-    reproduce_synthetic,
     results_rank_table,
     results_to_csv,
     run_experiment,
 )
 from .learners import LearnerSpec
-from .series import TimeSeries, load_csv, write_csv
+from .series import load_csv, write_csv
 from .splitters import METHODS
 from .stationarity import ndiffs, wavelet_stationarity_test
 from .synthetic import DGPSpec, monte_carlo
 
 logger = logging.getLogger("tseval")
+
+SYNTHETIC_EMBEDDING_DIM = 5  # the synthetic study embeds with 5 lags instead of FNN
 
 
 def _column(text: str):
@@ -256,7 +255,7 @@ def _cmd_simulate(args) -> int:
             fh.write("trial,t,value\n")
             for trial, series in enumerate(stream):
                 for t, value in enumerate(series.values):
-                    fh.write(f"{trial},{t},{value!r}\n")
+                    fh.write(f"{trial},{t},{float(value)!r}\n")
     return 0
 
 
@@ -308,19 +307,27 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    outcome, comparisons = reproduce_synthetic(
-        args.dgp,
+    config = ExperimentConfig(
+        dgp=args.dgp,
         trials=args.trials,
-        base_seed=args.seed,
         length=args.length,
+        embedding=SYNTHETIC_EMBEDDING_DIM,
         learner=_learner_from_args(args),
         methods=args.methods,
         K=args.K,
         nreps=args.nreps,
-        baseline="" if args.no_compare else args.baseline,
-        rope=(-args.rope, args.rope),
-        bayes_samples=args.bayes_samples,
+        base_seed=args.seed,
     )
+    outcome = run_experiment(config)
+    comparisons = []
+    if not args.no_compare and args.baseline in config.methods and outcome.results:
+        comparisons = compare_to_baseline(
+            outcome.results,
+            baseline=args.baseline,
+            rope=(-args.rope, args.rope),
+            samples=args.bayes_samples,
+            base_seed=args.seed,
+        )
     code = _finish_experiment(outcome, args)
     if comparisons:
         sys.stdout.write(comparisons_csv(comparisons))

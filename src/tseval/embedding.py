@@ -67,22 +67,24 @@ def embed(series: TimeSeries, p: int) -> EmbeddedDataset:
     )
 
 
+# FNN false-neighbour tests: a pair is false when the extra coordinate grows
+# its distance more than R_TOL-fold or leaves it beyond A_TOL standard
+# deviations of the series.
+R_TOL = 10.0
+A_TOL = 2.0
+
+
 def _windows(values: np.ndarray, d: int) -> np.ndarray:
     return sliding_window_view(values, d)
 
 
-def fnn_fractions(
-    series: TimeSeries,
-    d_max: int,
-    r_tol: float = 10.0,
-    a_tol: float = 2.0,
-) -> np.ndarray:
+def fnn_fractions(series: TimeSeries, d_max: int) -> np.ndarray:
     """False-nearest-neighbour fraction for each dimension d = 1..d_max.
 
     A point's neighbour at dimension d is its Euclidean-nearest other point
     (ties to the lowest index). The pair is false when the extra coordinate
-    revealed at d+1 either blows up the distance ratio beyond ``r_tol`` or
-    leaves the pair farther apart than ``a_tol`` series standard deviations.
+    revealed at d+1 either blows up the distance ratio beyond ``R_TOL`` or
+    leaves the pair farther apart than ``A_TOL`` series standard deviations.
 
     Duplicate points need care: distances below 1e-9 standard deviations
     count as zero, the lowest-indexed zero-distance candidate is taken, and
@@ -114,19 +116,15 @@ def fnn_fractions(
         dist = np.sqrt(np.maximum(D2[idx, nn], 0.0))
         dup_false = has_dup & (extra > zero)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio_false = extra / dist > r_tol
-        lonely = np.sqrt(dist**2 + extra**2) > a_tol * sd
+            ratio_false = extra / dist > R_TOL
+        lonely = np.sqrt(dist**2 + extra**2) > A_TOL * sd
         plain_false = ~has_dup & (ratio_false | lonely)
         fractions[d - 1] = float(np.count_nonzero(dup_false | plain_false)) / m
     return fractions
 
 
 def estimate_embedding_dimension(
-    series: TimeSeries,
-    d_max: int = 30,
-    tolerance: float = 0.01,
-    r_tol: float = 10.0,
-    a_tol: float = 2.0,
+    series: TimeSeries, d_max: int = 30, tolerance: float = 0.01
 ) -> int:
     """Smallest dimension whose false-neighbour fraction drops to ``tolerance``.
 
@@ -135,7 +133,7 @@ def estimate_embedding_dimension(
     """
     if not 0.0 < tolerance < 1.0:
         raise ValueError("tolerance must lie in (0, 1)")
-    fractions = fnn_fractions(series, d_max, r_tol=r_tol, a_tol=a_tol)
+    fractions = fnn_fractions(series, d_max)
     qualifying = np.flatnonzero(fractions <= tolerance)
     if qualifying.size:
         return int(qualifying[0]) + 1

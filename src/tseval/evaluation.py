@@ -97,20 +97,18 @@ class LossEstimate:
     fold_losses: tuple[float, ...]
 
 
-def run_plan(
-    plan: ResamplingPlan,
-    dataset,
-    learner: LearnerSpec,
-    aggregation: str = "mean_rmse",
-) -> LossEstimate:
+# Exhaustive prequential tests one row at a time; pooling the squared errors
+# before the root keeps those estimates on the same scale as the block methods.
+_POOLED = ("Preq-Grow", "Preq-Slide")
+
+
+def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimate:
     """Fit/score the learner over every iteration of an existing plan.
 
-    ``mean_rmse`` averages per-iteration RMSEs (one error estimate per
-    fold); ``pooled_rmse`` pools squared errors across iterations before
-    taking the root, which is the natural reading for one-row test sets.
+    The estimate averages per-iteration RMSEs (one error estimate per fold),
+    except for Preq-Grow and Preq-Slide, whose squared errors are pooled
+    across iterations before taking the root.
     """
-    if aggregation not in ("mean_rmse", "pooled_rmse"):
-        raise ValueError("aggregation must be 'mean_rmse' or 'pooled_rmse'")
     X, y = dataset.predictors, dataset.targets
     fold_losses = []
     sse = 0.0
@@ -121,10 +119,10 @@ def run_plan(
         fold_losses.append(float(np.sqrt(np.mean(errors**2))))
         sse += float(errors @ errors)
         count += errors.size
-    if aggregation == "mean_rmse":
-        estimate = float(np.mean(fold_losses))
-    else:
+    if plan.method in _POOLED:
         estimate = float(np.sqrt(sse / count))
+    else:
+        estimate = float(np.mean(fold_losses))
     return LossEstimate(estimate, tuple(fold_losses))
 
 
@@ -133,13 +131,15 @@ def estimate_loss(
     method: str,
     learner: LearnerSpec,
     p: int,
-    aggregation: str = "mean_rmse",
-    **plan_params,
+    *,
+    K: int = 10,
+    nreps: int = 10,
+    seed: int | None = None,
 ) -> LossEstimate:
     """Embed once, build the named plan over the rows, and run it."""
     dataset = embed(estimation_series, p)
-    plan = build_plan(method, dataset.n, p=p, **plan_params)
-    return run_plan(plan, dataset, learner, aggregation)
+    plan = build_plan(method, dataset.n, K=K, p=p, nreps=nreps, seed=seed)
+    return run_plan(plan, dataset, learner)
 
 
 def true_loss(

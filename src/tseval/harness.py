@@ -7,7 +7,7 @@ import csv
 import io
 import logging
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "ExperimentOutcome",
     "MethodComparison",
     "run_experiment",
-    "reproduce_synthetic",
     "results_to_csv",
     "read_results_csv",
     "rank_table_csv",
@@ -45,12 +44,6 @@ __all__ = [
 logger = logging.getLogger("tseval")
 
 RESULTS_HEADER = "problem_id,method,estimate,true_loss,apae,pae,pct_diff"
-
-# Exhaustive prequential tests one row at a time; pooling the squared errors
-# before the root keeps those estimates on the same scale as the block methods.
-_AGGREGATION = {"Preq-Grow": "pooled_rmse", "Preq-Slide": "pooled_rmse"}
-
-SYNTHETIC_EMBEDDING_DIM = 5
 
 
 @dataclass(frozen=True)
@@ -82,6 +75,9 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; expected {METHODS}")
+        repeated = [m for m, count in Counter(self.methods).items() if count > 1]
+        if repeated:
+            raise ValueError(f"methods must be unique; repeated: {', '.join(repeated)}")
         if not self.csv_paths and self.dgp is None:
             raise ValueError("config needs csv_paths or a dgp")
         if isinstance(self.embedding, str) and self.embedding != "auto":
@@ -158,7 +154,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
                     method,
                     config.learner,
                     p,
-                    aggregation=_AGGREGATION.get(method, "mean_rmse"),
                     K=config.K,
                     nreps=config.nreps,
                     seed=seed,
@@ -245,48 +240,6 @@ def compare_to_baseline(
     return comparisons
 
 
-def reproduce_synthetic(
-    study: str,
-    trials: int = 200,
-    base_seed: int = 1,
-    *,
-    length: int = 200,
-    learner: LearnerSpec | None = None,
-    methods: tuple = METHODS,
-    K: int = 10,
-    nreps: int = 10,
-    baseline: str = "Rep-Holdout",
-    rope: tuple[float, float] = (-2.5, 2.5),
-    bayes_samples: int = 100_000,
-) -> tuple[ExperimentOutcome, list[MethodComparison]]:
-    """Synthetic estimator-accuracy study: Monte Carlo stream, fixed
-    embedding dimension, rank table, and Bayes comparisons to a baseline."""
-    config = ExperimentConfig(
-        dgp=study,
-        trials=trials,
-        length=length,
-        embedding=SYNTHETIC_EMBEDDING_DIM,
-        learner=learner or LearnerSpec(),
-        methods=methods,
-        K=K,
-        nreps=nreps,
-        base_seed=base_seed,
-    )
-    outcome = run_experiment(config)
-    comparisons = (
-        compare_to_baseline(
-            outcome.results,
-            baseline=baseline,
-            rope=rope,
-            samples=bayes_samples,
-            base_seed=base_seed,
-        )
-        if baseline in methods and outcome.results
-        else []
-    )
-    return outcome, comparisons
-
-
 def _csv_text(header: list[str], rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -304,24 +257,25 @@ def results_to_csv(results, path) -> None:
 
 
 def read_results_csv(path) -> list[EstimationResult]:
+    """Rows of a results CSV; a (problem_id, method) pair may appear once."""
     path = Path(path)
+    results = []
+    first_line: dict[tuple[str, str], int] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         expected = RESULTS_HEADER.split(",")
         if reader.fieldnames != expected:
             raise ValueError(f"{path}: expected header {RESULTS_HEADER!r}")
-        return [
-            EstimationResult(
-                problem_id=row["problem_id"],
-                method=row["method"],
-                estimate=float(row["estimate"]),
-                true_loss=float(row["true_loss"]),
-                apae=float(row["apae"]),
-                pae=float(row["pae"]),
-                pct_diff=float(row["pct_diff"]),
-            )
-            for row in reader
-        ]
+        for row in reader:
+            key = (row["problem_id"], row["method"])
+            if key in first_line:
+                raise ValueError(
+                    f"{path}: line {reader.line_num} repeats problem {key[0]!r}, "
+                    f"method {key[1]!r} (first on line {first_line[key]})"
+                )
+            first_line[key] = reader.line_num
+            results.append(EstimationResult(*key, *(float(row[f]) for f in expected[2:])))
+    return results
 
 
 def rank_table_csv(table: RankTable) -> str:

@@ -20,15 +20,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Ordered, finite, real-valued observations.
-
-    ``values`` is stored as a read-only float64 array. ``timestamps`` are
-    opaque labels: they are carried through slicing operations but never
-    interpreted (no resampling, no gap handling).
-    """
+    """Ordered, finite, real-valued observations, stored as a read-only
+    float64 array."""
 
     values: np.ndarray
-    timestamps: tuple | None = None
     name: str = "series"
 
     def __post_init__(self) -> None:
@@ -42,24 +37,13 @@ class TimeSeries:
             raise ValueError(f"non-finite value at index {bad}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        if self.timestamps is not None:
-            ts = tuple(self.timestamps)
-            if len(ts) != vals.size:
-                raise ValueError(
-                    f"timestamps length {len(ts)} != values length {vals.size}"
-                )
-            for a, b in zip(ts, ts[1:]):
-                if not a < b:
-                    raise ValueError("timestamps must be strictly increasing")
-            object.__setattr__(self, "timestamps", ts)
 
     def __len__(self) -> int:
         return int(self.values.size)
 
     def slice(self, start: int, stop: int, name: str | None = None) -> "TimeSeries":
-        """Contiguous sub-series over ``[start, stop)``, timestamps included."""
-        ts = None if self.timestamps is None else self.timestamps[start:stop]
-        return TimeSeries(self.values[start:stop], ts, name or self.name)
+        """Contiguous sub-series over ``[start, stop)``."""
+        return TimeSeries(self.values[start:stop], name or self.name)
 
 
 def load_csv(path, column: str | int = 0, name: str | None = None) -> TimeSeries:
@@ -88,6 +72,8 @@ def load_csv(path, column: str | int = 0, name: str | None = None) -> TimeSeries
         first_data_row = 1
     else:
         idx = int(column)
+        if idx < 0:
+            raise ValueError(f"{path}: column index must be >= 0, got {idx}")
         if idx >= len(rows[0]):
             raise ValueError(f"{path}: row 1 has no column {idx}")
         try:
@@ -121,18 +107,14 @@ def write_csv(series: TimeSeries, path, header: str = "y") -> None:
 
 
 def difference(series: TimeSeries, d: int) -> TimeSeries:
-    """Apply d rounds of consecutive differencing (result[i] = y[i+1] - y[i]).
-
-    Timestamps, when present, keep the later endpoint of each difference.
-    """
+    """Apply d rounds of consecutive differencing (result[i] = y[i+1] - y[i])."""
     if d < 0:
         raise ValueError("d must be non-negative")
     if d > len(series) - 1:
         raise ValueError(f"cannot difference length-{len(series)} series {d} times")
     if d == 0:
         return series
-    ts = None if series.timestamps is None else series.timestamps[d:]
-    return TimeSeries(np.diff(series.values, n=d), ts, series.name)
+    return TimeSeries(np.diff(series.values, n=d), series.name)
 
 
 def estimation_validation_split(

@@ -11,6 +11,12 @@ Two families:
 Block convention everywhere: n rows split into K contiguous blocks in
 temporal order, the first (n mod K) blocks one row larger.
 
+The study fixes every other setting. Holdout trains on the first 70% of the
+rows and tests on the rest; each Rep-Holdout repetition trains on 60% of the
+rows and tests on the next 10%; Preq-Sld-Bls trains on the one block before
+the test block; Preq-Grow and Preq-Slide test one row at a time after a
+warm-up (Preq-Grow) or sliding window (Preq-Slide) of half the rows.
+
 Each iteration holds its train, test and gap rows as strictly increasing,
 read-only integer arrays, ready to index the embedded rows with. ``gap``
 only records the rows a method keeps out of both sides (empty for most
@@ -19,7 +25,7 @@ methods); nothing reads it to fit or score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +102,6 @@ class ResamplingPlan:
     method: str
     n: int
     iterations: tuple[Iteration, ...]
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for it in self.iterations:
@@ -142,7 +147,7 @@ def plan_cv(n: int, K: int, seed: int | None = None) -> ResamplingPlan:
         mask = np.ones(n, dtype=bool)
         mask[test] = False
         iterations.append(Iteration(np.flatnonzero(mask), test))
-    return ResamplingPlan("CV", n, tuple(iterations), {"K": K, "seed": seed})
+    return ResamplingPlan("CV", n, tuple(iterations))
 
 
 def plan_cv_bl(n: int, K: int) -> ResamplingPlan:
@@ -154,10 +159,10 @@ def plan_cv_bl(n: int, K: int) -> ResamplingPlan:
         Iteration(np.concatenate((rows[: b[i]], rows[b[i + 1] :])), rows[b[i] : b[i + 1]])
         for i in range(K)
     ]
-    return ResamplingPlan("CV-Bl", n, tuple(iterations), {"K": K})
+    return ResamplingPlan("CV-Bl", n, tuple(iterations))
 
 
-def _remove_near(base: ResamplingPlan, p: int, method: str, params: dict) -> ResamplingPlan:
+def _remove_near(base: ResamplingPlan, p: int, method: str) -> ResamplingPlan:
     if p < 1:
         raise ValueError("removal radius p must be >= 1")
     iterations = []
@@ -169,73 +174,52 @@ def _remove_near(base: ResamplingPlan, p: int, method: str, params: dict) -> Res
                 f"(removal radius {p} covers every training row)"
             )
         iterations.append(Iteration(it.train[~near], it.test, it.train[near]))
-    return ResamplingPlan(method, base.n, tuple(iterations), params)
+    return ResamplingPlan(method, base.n, tuple(iterations))
 
 
 def plan_cv_mod(n: int, K: int, p: int, seed: int | None = None) -> ResamplingPlan:
     """Randomized CV with training rows within radius p of any test row removed."""
     base = plan_cv(n, K, seed)
-    return _remove_near(base, p, "CV-Mod", {"K": K, "p": p, "seed": seed})
+    return _remove_near(base, p, "CV-Mod")
 
 
 def plan_cv_hvbl(n: int, K: int, p: int) -> ResamplingPlan:
     """Blocked CV with a p-row buffer removed on both sides of the test block."""
     base = plan_cv_bl(n, K)
-    return _remove_near(base, p, "CV-hvBl", {"K": K, "p": p})
+    return _remove_near(base, p, "CV-hvBl")
 
 
-def plan_holdout(n: int, train_fraction: float = 0.7) -> ResamplingPlan:
-    """Single chronological split: first floor(train_fraction*n) rows train."""
-    cut = int(np.floor(train_fraction * n))
-    if cut < 1 or cut > n - 1:
-        raise ValueError(
-            f"train fraction {train_fraction} of {n} rows leaves a degenerate side"
-        )
+def plan_holdout(n: int) -> ResamplingPlan:
+    """Single chronological split: the first floor(0.7*n) rows train."""
+    cut = int(np.floor(0.7 * n))
+    if cut < 1:
+        raise ValueError(f"train fraction 0.7 of {n} rows leaves a degenerate side")
     rows = _rows(n)
-    it = Iteration(rows[:cut], rows[cut:])
-    return ResamplingPlan("Holdout", n, (it,), {"train_fraction": train_fraction})
+    return ResamplingPlan("Holdout", n, (Iteration(rows[:cut], rows[cut:]),))
 
 
-def plan_rep_holdout(
-    n: int,
-    nreps: int = 10,
-    train_fraction: float = 0.6,
-    test_fraction: float = 0.1,
-    seed: int | None = None,
-) -> ResamplingPlan:
+def plan_rep_holdout(n: int, nreps: int = 10, seed: int | None = None) -> ResamplingPlan:
     """Repeated holdout at nreps random cut points.
 
     Each repetition draws a cut ``a`` uniformly from the integers
-    [train_size, n - test_size] (both ends included), trains on the
-    train_size rows before ``a`` and tests on the test_size rows from ``a``.
+    [train_size, n - test_size] (both ends included), where train_size is
+    floor(0.6*n) and test_size floor(0.1*n); it trains on the train_size
+    rows before ``a`` and tests on the test_size rows from ``a``.
     """
     if nreps < 1:
         raise ValueError("nreps must be >= 1")
-    if train_fraction + test_fraction > 1.0 + 1e-12:
-        raise ValueError("train_fraction + test_fraction must not exceed 1")
-    train_size = int(np.floor(train_fraction * n))
-    test_size = int(np.floor(test_fraction * n))
+    train_size = int(np.floor(0.6 * n))
+    test_size = int(np.floor(0.1 * n))
     if train_size < 1 or test_size < 1:
-        raise ValueError(
-            f"window fractions ({train_fraction}, {test_fraction}) are infeasible "
-            f"for n={n}"
-        )
+        raise ValueError(f"window fractions (0.6, 0.1) are infeasible for n={n}")
     lo, hi = train_size, n - test_size
-    if lo > hi:
-        raise ValueError(f"no admissible cut point for n={n}")
     rng = np.random.default_rng(seed)
     rows = _rows(n)
     iterations = []
     for _ in range(nreps):
         a = int(rng.integers(lo, hi + 1))
         iterations.append(Iteration(rows[a - train_size : a], rows[a : a + test_size]))
-    params = {
-        "nreps": nreps,
-        "train_fraction": train_fraction,
-        "test_fraction": test_fraction,
-        "seed": seed,
-    }
-    return ResamplingPlan("Rep-Holdout", n, tuple(iterations), params)
+    return ResamplingPlan("Rep-Holdout", n, tuple(iterations))
 
 
 def plan_preq_bls(n: int, K: int) -> ResamplingPlan:
@@ -244,22 +228,16 @@ def plan_preq_bls(n: int, K: int) -> ResamplingPlan:
     rows = _rows(n)
     b = _block_bounds(n, K)
     iterations = [Iteration(rows[: b[i]], rows[b[i] : b[i + 1]]) for i in range(1, K)]
-    return ResamplingPlan("Preq-Bls", n, tuple(iterations), {"K": K})
+    return ResamplingPlan("Preq-Bls", n, tuple(iterations))
 
 
-def plan_preq_sld_bls(n: int, K: int, window_blocks: int = 1) -> ResamplingPlan:
-    """Prequential in blocks, sliding: train on the last ``window_blocks`` blocks."""
+def plan_preq_sld_bls(n: int, K: int) -> ResamplingPlan:
+    """Prequential in blocks, sliding: train on block i, test on block i+1."""
     _check_k(n, K)
-    if window_blocks < 1:
-        raise ValueError("window_blocks must be >= 1")
     rows = _rows(n)
     b = _block_bounds(n, K)
-    iterations = [
-        Iteration(rows[b[max(0, i - window_blocks)] : b[i]], rows[b[i] : b[i + 1]])
-        for i in range(1, K)
-    ]
-    params = {"K": K, "window_blocks": window_blocks}
-    return ResamplingPlan("Preq-Sld-Bls", n, tuple(iterations), params)
+    iterations = [Iteration(rows[b[i - 1] : b[i]], rows[b[i] : b[i + 1]]) for i in range(1, K)]
+    return ResamplingPlan("Preq-Sld-Bls", n, tuple(iterations))
 
 
 def plan_preq_bls_gap(n: int, K: int) -> ResamplingPlan:
@@ -271,40 +249,29 @@ def plan_preq_bls_gap(n: int, K: int) -> ResamplingPlan:
         Iteration(rows[: b[i]], rows[b[i + 1] : b[i + 2]], rows[b[i] : b[i + 1]])
         for i in range(1, K - 1)
     ]
-    return ResamplingPlan("Preq-Bls-Gap", n, tuple(iterations), {"K": K})
+    return ResamplingPlan("Preq-Bls-Gap", n, tuple(iterations))
 
 
-def plan_preq_grow(n: int, initial_window: int, refit_interval: int = 1) -> ResamplingPlan:
+def plan_preq_grow(n: int) -> ResamplingPlan:
     """Exhaustive prequential with a growing window.
 
-    Walks j over initial_window, initial_window + refit_interval, ...; each
-    iteration trains on [0, j) and tests on the next refit_interval rows.
+    Walks j over n//2, ..., n - 1; each iteration trains on [0, j) and tests
+    on row j. The warm-up is half the rows: a window of only one block
+    starves the learner and distorts the loss estimate far beyond what any
+    of the block methods exhibit.
     """
-    if not 1 <= initial_window <= n - 1:
-        raise ValueError(f"initial_window must lie in [1, {n - 1}], got {initial_window}")
-    if refit_interval < 1:
-        raise ValueError("refit_interval must be >= 1")
     rows = _rows(n)
-    iterations = [
-        Iteration(rows[:j], rows[j : j + refit_interval])
-        for j in range(initial_window, n, refit_interval)
-    ]
-    params = {"initial_window": initial_window, "refit_interval": refit_interval}
-    return ResamplingPlan("Preq-Grow", n, tuple(iterations), params)
+    iterations = [Iteration(rows[:j], rows[j : j + 1]) for j in range(n // 2, n)]
+    return ResamplingPlan("Preq-Grow", n, tuple(iterations))
 
 
-def plan_preq_slide(n: int, window: int, refit_interval: int = 1) -> ResamplingPlan:
-    """Exhaustive prequential with a sliding window of fixed size."""
-    if not 1 <= window <= n - 1:
-        raise ValueError(f"window must lie in [1, {n - 1}], got {window}")
-    if refit_interval < 1:
-        raise ValueError("refit_interval must be >= 1")
+def plan_preq_slide(n: int) -> ResamplingPlan:
+    """Exhaustive prequential with a sliding window of n//2 rows (half, as in
+    ``plan_preq_grow``), testing each later row in turn."""
+    window = n // 2
     rows = _rows(n)
-    iterations = [
-        Iteration(rows[j - window : j], rows[j : j + refit_interval])
-        for j in range(window, n, refit_interval)
-    ]
-    return ResamplingPlan("Preq-Slide", n, tuple(iterations), {"window": window, "refit_interval": refit_interval})
+    iterations = [Iteration(rows[j - window : j], rows[j : j + 1]) for j in range(window, n)]
+    return ResamplingPlan("Preq-Slide", n, tuple(iterations))
 
 
 def build_plan(
@@ -316,13 +283,7 @@ def build_plan(
     nreps: int = 10,
     seed: int | None = None,
 ) -> ResamplingPlan:
-    """Dispatch to the named procedure with study defaults.
-
-    Preq-Grow and Preq-Slide use a warm-up/window of half the rows; a window
-    of only one block starves the learner and distorts the loss estimate far
-    beyond what any of the block methods exhibit. Other settings take the
-    ``plan_*`` defaults.
-    """
+    """Dispatch to the named procedure; only K, p, nreps and seed vary."""
     if method == "CV":
         return plan_cv(n, K, seed)
     if method == "CV-Bl":
@@ -342,7 +303,7 @@ def build_plan(
     if method == "Preq-Bls-Gap":
         return plan_preq_bls_gap(n, K)
     if method == "Preq-Grow":
-        return plan_preq_grow(n, max(1, n // 2))
+        return plan_preq_grow(n)
     if method == "Preq-Slide":
-        return plan_preq_slide(n, max(1, n // 2))
+        return plan_preq_slide(n)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

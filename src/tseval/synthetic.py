@@ -153,7 +153,7 @@ def simulate_ma1(
 def positivize(series: TimeSeries) -> TimeSeries:
     """Shift so the minimum is exactly 1."""
     values = series.values - series.values.min() + 1.0
-    return TimeSeries(values, series.timestamps, series.name)
+    return TimeSeries(values, series.name)
 
 
 def draw_s1_coefficients(spec: DGPSpec, rng: np.random.Generator) -> np.ndarray:

@@ -42,6 +42,17 @@ def test_simulate_long_csv(tmp_path):
     assert lines[1].startswith("0,0,")
 
 
+def test_simulate_long_csv_holds_the_per_trial_values(tmp_path):
+    long, per_trial = tmp_path / "long.csv", tmp_path / "sims"
+    assert run_cli("simulate", "--dgp", "s1", "--trials", "2", "--length", "20",
+                   "--seed", "6", "--long-csv", str(long), "--out-dir", str(per_trial)) == 0
+    rows = [line.split(",") for line in long.read_text().splitlines()[1:]]
+    for trial in (0, 1):
+        values = [float(v) for tr, _, v in rows if tr == str(trial)]
+        assert values == load_csv(per_trial / f"s1-{trial:04d}.csv").values.tolist()
+    assert all(v == repr(float(v)) for _, _, v in rows)
+
+
 def test_simulate_requires_some_output():
     assert run_cli("simulate", "--dgp", "s1") == 1
 
@@ -222,6 +233,34 @@ def test_duplicate_problem_names_are_rejected(tmp_path, caplog):
     assert code == 1
     assert not out.exists()
     assert "'x'" in caplog.text and "unique" in caplog.text
+
+
+def test_repeated_method_names_are_rejected(tmp_path, caplog):
+    out = tmp_path / "r.csv"
+    code = run_cli("evaluate", *_two_walks(tmp_path), "--p", "3",
+                   "--methods", "CV,CV,Holdout", "--out", str(out))
+    assert code == 1
+    assert not out.exists()
+    assert "repeated: CV" in caplog.text
+
+
+def test_rank_and_compare_reject_repeated_rows(tmp_path, caplog):
+    rows = [EstimationResult.from_losses("a", m, 1.0 + 0.1 * i, 1.0)
+            for i, m in enumerate(("Holdout", "Rep-Holdout", "Holdout"))]
+    path = tmp_path / "results.csv"
+    results_to_csv(rows, path)
+    assert run_cli("rank", "--results", str(path)) == 1
+    assert run_cli("compare", "--results", str(path), "--samples", "500") == 1
+    message = "line 4 repeats problem 'a', method 'Holdout' (first on line 2)"
+    assert caplog.text.count(message) == 2
+
+
+def test_negative_column_index_is_rejected(tmp_path, caplog):
+    path = tmp_path / "s.csv"
+    path.write_text("t,y\n" + "".join(f"{i},{i * 0.5}\n" for i in range(30)))
+    assert run_cli("embed", "--csv", str(path), "--column", "1", "--p", "2") == 0
+    assert run_cli("embed", "--csv", str(path), "--column", "-1", "--p", "2") == 1
+    assert "column index must be >= 0, got -1" in caplog.text
 
 
 def test_problems_left_out_of_the_rank_table_are_named(tmp_path, capsys, caplog):

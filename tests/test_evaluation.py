@@ -18,7 +18,6 @@ from tseval import (
     estimate_loss,
     pae,
     pct_diff,
-    plan_preq_grow,
     rmse,
     run_plan,
     true_loss,
@@ -171,27 +170,30 @@ def test_two_fold_knn_matches_hand_oracle():
 
 
 def test_run_plan_pooled_aggregation():
+    """A Preq-Grow or Preq-Slide plan pools squared errors; a Preq-Bls plan
+    averages its per-block RMSEs."""
     series = TimeSeries(np.random.default_rng(5).normal(size=40))
     ds = embed(series, 3)
-    plan = plan_preq_grow(ds.n, 10)
     spec = LearnerSpec()
-    mean_out = run_plan(plan, ds, spec, aggregation="mean_rmse")
-    pooled_out = run_plan(plan, ds, spec, aggregation="pooled_rmse")
-    assert mean_out.fold_losses == pooled_out.fold_losses
-    # one test row per iteration: pooled = sqrt(mean of squares) >= mean of abs
-    assert pooled_out.estimate >= mean_out.estimate
-    assert pooled_out.estimate == pytest.approx(
-        math.sqrt(np.mean(np.square(mean_out.fold_losses)))
+    for method in ("Preq-Grow", "Preq-Slide"):
+        pooled = run_plan(build_plan(method, ds.n), ds, spec)
+        # one test row per iteration: pooled = sqrt(mean of squares) > mean of abs
+        assert pooled.estimate > np.mean(pooled.fold_losses)
+        assert pooled.estimate == pytest.approx(
+            math.sqrt(np.mean(np.square(pooled.fold_losses)))
+        )
+    blocks = run_plan(build_plan("Preq-Bls", ds.n, K=5), ds, spec)
+    assert blocks.estimate == pytest.approx(np.mean(blocks.fold_losses))
+    assert blocks.estimate != pytest.approx(
+        math.sqrt(np.mean(np.square(blocks.fold_losses)))
     )
-    with pytest.raises(ValueError):
-        run_plan(plan, ds, spec, aggregation="median")
 
 
 def test_estimate_loss_iteration_order_does_not_matter():
     series = TimeSeries(np.random.default_rng(8).normal(size=50))
     ds = embed(series, 3)
     plan = build_plan("CV-Bl", ds.n, K=5)
-    reversed_plan = type(plan)(plan.method, plan.n, tuple(reversed(plan.iterations)), plan.params)
+    reversed_plan = type(plan)(plan.method, plan.n, tuple(reversed(plan.iterations)))
     a = run_plan(plan, ds, LearnerSpec())
     b = run_plan(reversed_plan, ds, LearnerSpec())
     assert a.estimate == pytest.approx(b.estimate)

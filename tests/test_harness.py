@@ -2,18 +2,25 @@ import numpy as np
 import pytest
 
 from tseval import (
+    EstimationResult,
     ExperimentConfig,
     LearnerSpec,
     TimeSeries,
     compare_to_baseline,
     derive_seed,
     read_results_csv,
-    reproduce_synthetic,
     results_to_csv,
     run_experiment,
     write_csv,
 )
 from tseval.harness import RESULTS_HEADER, rank_table_csv, results_rank_table
+
+
+def synthetic_study(dgp, trials, base_seed):
+    """The synthetic study as ``tseval benchmark`` runs it: five lags."""
+    return run_experiment(
+        ExperimentConfig(dgp=dgp, trials=trials, base_seed=base_seed, embedding=5)
+    )
 
 
 @pytest.fixture()
@@ -83,7 +90,7 @@ def test_derive_seed_is_frozen_and_method_independent():
 
 
 def test_results_csv_round_trip(tmp_path):
-    outcome, _ = reproduce_synthetic("s1", trials=2, base_seed=3, bayes_samples=1000)
+    outcome = synthetic_study("s1", trials=2, base_seed=3)
     path = tmp_path / "results.csv"
     results_to_csv(outcome.results, path)
     first_line = path.read_text().splitlines()[0]
@@ -100,7 +107,8 @@ def test_read_results_rejects_wrong_header(tmp_path):
 
 
 def test_reproduce_synthetic_counts_and_ranks():
-    outcome, comparisons = reproduce_synthetic("s2", trials=2, base_seed=1, bayes_samples=2000)
+    outcome = synthetic_study("s2", trials=2, base_seed=1)
+    comparisons = compare_to_baseline(outcome.results, samples=2000, base_seed=1)
     assert len(outcome.results) == 22
     table = outcome.rank_table
     assert table.n_problems == 2
@@ -113,7 +121,7 @@ def test_reproduce_synthetic_counts_and_ranks():
 
 
 def test_single_trial_rank_table_is_single_trial_ranks():
-    outcome, _ = reproduce_synthetic("s1", trials=1, base_seed=4, bayes_samples=1000)
+    outcome = synthetic_study("s1", trials=1, base_seed=4)
     by_method = {r.method: r.apae for r in outcome.results}
     order = sorted(by_method, key=by_method.get)
     table = outcome.rank_table
@@ -123,8 +131,6 @@ def test_single_trial_rank_table_is_single_trial_ranks():
 
 
 def read_write_rows():
-    from tseval import EstimationResult
-
     return [
         EstimationResult.from_losses("p1", "A", 1.0, 1.1),
         EstimationResult.from_losses("p1", "B", 2.0, 1.1),
@@ -139,16 +145,12 @@ def test_rank_table_csv():
 
 
 def test_rank_table_skips_incomplete_problems():
-    from tseval import EstimationResult
-
     rows = read_write_rows() + [EstimationResult.from_losses("p3", "A", 1.0, 1.0)]
     table = results_rank_table(rows, ["A", "B"])
     assert table.n_problems == 2
 
 
 def test_compare_to_baseline_semantics():
-    from tseval import EstimationResult
-
     rows = []
     for pid in range(15):
         truth = 1.0

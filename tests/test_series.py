@@ -35,14 +35,6 @@ def test_non_finite_error_names_index():
         TimeSeries([1.0, 2.0, float("nan")])
 
 
-def test_timestamps_must_match_and_increase():
-    TimeSeries([1.0, 2.0], timestamps=(0, 5))
-    with pytest.raises(ValueError):
-        TimeSeries([1.0, 2.0], timestamps=(0,))
-    with pytest.raises(ValueError, match="increasing"):
-        TimeSeries([1.0, 2.0], timestamps=(5, 5))
-
-
 def test_load_csv_plain_rows(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("1.0\n2.0\n3.5\n")
@@ -90,6 +82,13 @@ def test_load_csv_second_column(tmp_path):
     assert list(load_csv(path, column=1).values) == [1.5, 2.5]
 
 
+def test_load_csv_rejects_a_negative_column_index(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("t,y\n0,1.5\n1,2.5\n")
+    with pytest.raises(ValueError, match="column index must be >= 0, got -1"):
+        load_csv(path, column=-1)
+
+
 @settings(max_examples=100)
 @given(values=finite_values)
 def test_csv_round_trip_bit_exact(tmp_path_factory, values):
@@ -117,11 +116,6 @@ def test_difference_too_large():
         difference(TimeSeries([1.0, 2.0]), 2)
     with pytest.raises(ValueError):
         difference(TimeSeries([1.0]), 1)
-
-
-def test_difference_keeps_later_timestamps():
-    s = TimeSeries([1.0, 2.0, 4.0], timestamps=(10, 20, 30))
-    assert difference(s, 1).timestamps == (20, 30)
 
 
 @settings(max_examples=100)

@@ -190,25 +190,25 @@ def test_cv_hvbl_exclusion_budget():
 # --- Holdout / Rep-Holdout --------------------------------------------------
 
 def test_holdout_70_30():
-    plan = plan_holdout(10, 0.7)
+    plan = plan_holdout(10)
     assert plan.iterations[0].train.tolist() == list(range(7))
     assert plan.iterations[0].test.tolist() == [7, 8, 9]
 
 
 def test_holdout_minimal_and_sizes():
-    it = plan_holdout(2, 0.5).iterations[0]
+    it = plan_holdout(2).iterations[0]
     assert it.train.tolist() == [0] and it.test.tolist() == [1]
-    it = plan_holdout(140, 0.7).iterations[0]
+    it = plan_holdout(140).iterations[0]
     assert (len(it.train), len(it.test)) == (98, 42)
 
 
 def test_holdout_degenerate():
     with pytest.raises(ValueError):
-        plan_holdout(3, 0.05)
+        plan_holdout(1)
 
 
 def test_rep_holdout_windows():
-    plan = plan_rep_holdout(100, nreps=10, train_fraction=0.6, test_fraction=0.1, seed=5)
+    plan = plan_rep_holdout(100, nreps=10, seed=5)
     assert len(plan.iterations) == 10
     for it in plan.iterations:
         assert len(it.train) == 60 and len(it.test) == 10
@@ -226,10 +226,11 @@ def test_rep_holdout_cut_extremes_reachable():
 
 
 def test_rep_holdout_infeasible():
-    with pytest.raises(ValueError):
-        plan_rep_holdout(5, nreps=2, train_fraction=0.1, test_fraction=0.1, seed=0)
-    with pytest.raises(ValueError):
-        plan_rep_holdout(100, nreps=2, train_fraction=0.8, test_fraction=0.3, seed=0)
+    # below 10 rows the 10% test window is empty
+    with pytest.raises(ValueError, match="infeasible"):
+        plan_rep_holdout(9, nreps=2, seed=0)
+    plan = plan_rep_holdout(10, nreps=2, seed=0)
+    assert [(len(it.train), len(it.test)) for it in plan.iterations] == [(6, 1), (6, 1)]
 
 
 # --- prequential block variants ---------------------------------------------
@@ -266,11 +267,6 @@ def test_preq_sld_bls_first_iteration_matches_growing():
     assert iteration_sets(plan_preq_sld_bls(4, 2)) == iteration_sets(plan_preq_bls(4, 2))
 
 
-def test_preq_sld_bls_multi_block_window():
-    plan = plan_preq_sld_bls(10, 5, window_blocks=2)
-    assert plan.iterations[2].train.tolist() == [2, 3, 4, 5]
-
-
 def test_preq_bls_gap_layout():
     plan = plan_preq_bls_gap(10, 5)
     assert iteration_sets(plan) == [
@@ -286,15 +282,19 @@ def test_preq_bls_gap_needs_three_blocks():
 
 
 def test_preq_grow_layouts():
-    plan = plan_preq_grow(5, initial_window=2, refit_interval=1)
+    plan = plan_preq_grow(5)
     assert [it.test.tolist() for it in plan.iterations] == [[2], [3], [4]]
     assert [len(it.train) for it in plan.iterations] == [2, 3, 4]
-    plan = plan_preq_grow(5, initial_window=2, refit_interval=2)
-    assert iteration_sets(plan) == [[[0, 1], [2, 3], []], [[0, 1, 2, 3], [4], []]]
+    plan = plan_preq_grow(6)
+    assert iteration_sets(plan) == [
+        [[0, 1, 2], [3], []],
+        [[0, 1, 2, 3], [4], []],
+        [[0, 1, 2, 3, 4], [5], []],
+    ]
 
 
 def test_preq_slide_layouts():
-    plan = plan_preq_slide(5, window=2, refit_interval=1)
+    plan = plan_preq_slide(5)
     assert iteration_sets(plan) == [
         [[0, 1], [2], []],
         [[1, 2], [3], []],
@@ -303,16 +303,22 @@ def test_preq_slide_layouts():
 
 
 def test_preq_slide_degenerate_window_equals_growing_tail():
-    slide = plan_preq_slide(9, window=8)
-    grow = plan_preq_grow(9, initial_window=8)
-    assert iteration_sets(slide) == iteration_sets(grow)
+    # two rows: the one-row window is also the whole growing warm-up
+    assert iteration_sets(plan_preq_slide(2)) == iteration_sets(plan_preq_grow(2))
+    # otherwise each window is the last n//2 rows of the growing train set
+    slide, grow = plan_preq_slide(9), plan_preq_grow(9)
+    assert len(slide.iterations) == len(grow.iterations) == 5
+    for s, g in zip(slide.iterations, grow.iterations):
+        assert s.test.tolist() == g.test.tolist()
+        assert s.train.tolist() == g.train[-4:].tolist()
 
 
 def test_preq_window_bounds():
-    with pytest.raises(ValueError):
-        plan_preq_grow(5, initial_window=5)
-    with pytest.raises(ValueError):
-        plan_preq_slide(5, window=0)
+    # one row leaves no room for a warm-up or window
+    with pytest.raises(ValueError, match="non-empty"):
+        plan_preq_grow(1)
+    with pytest.raises(ValueError, match="non-empty"):
+        plan_preq_slide(1)
 
 
 # --- randomised properties ----------------------------------------------------
