@@ -36,6 +36,7 @@ from .embedding import embed as embed_rows
 from .embedding import estimate_embedding_dimension
 from .harness import (
     ExperimentConfig,
+    _csv_text,
     comparisons_csv,
     compare_to_baseline,
     rank_table_csv,
@@ -184,7 +185,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     st.add_argument("--csv", action="append", default=None, required=True)
     st.add_argument("--column", type=_column, default=0)
     st.add_argument("--alpha", type=float, default=0.05)
-    st.add_argument("--max-d", type=int, default=2)
+    st.add_argument("--max-d", type=int, choices=(0, 1, 2), default=2)
     st.add_argument("--correction", choices=("bonferroni", "fdr"), default="bonferroni")
     registry["stationarity"] = st
 
@@ -364,7 +365,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_stationarity(args) -> int:
-    print("name,I,S,rejections")
+    if not 0.0 < args.alpha < 0.5:
+        raise ValueError(f"--alpha must lie in (0, 0.5), got {args.alpha}")
+    rows = []
     code = 0
     for path in args.csv:
         try:
@@ -379,7 +382,8 @@ def _cmd_stationarity(args) -> int:
             f"{r.periodogram_level}:{r.coefficient_scale}:{r.position}"
             for r in verdict.rejections
         )
-        print(f"{series.name},{order},{int(verdict.stationary)},{triples}")
+        rows.append([series.name, order, int(verdict.stationary), triples])
+    sys.stdout.write(_csv_text(["name", "I", "S", "rejections"], rows))
     return code
 
 

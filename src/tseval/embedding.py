@@ -74,10 +74,6 @@ R_TOL = 10.0
 A_TOL = 2.0
 
 
-def _windows(values: np.ndarray, d: int) -> np.ndarray:
-    return sliding_window_view(values, d)
-
-
 def fnn_fractions(series: TimeSeries, d_max: int) -> np.ndarray:
     """False-nearest-neighbour fraction for each dimension d = 1..d_max.
 
@@ -86,7 +82,10 @@ def fnn_fractions(series: TimeSeries, d_max: int) -> np.ndarray:
     revealed at d+1 either blows up the distance ratio beyond ``R_TOL`` or
     leaves the pair farther apart than ``A_TOL`` series standard deviations.
 
-    Duplicate points need care: distances below 1e-9 standard deviations
+    Squared distances are running sums, one squared coordinate difference
+    per dimension in coordinate order, so nothing cancels.
+
+    Duplicate points need care: distances up to 1e-9 standard deviations
     count as zero, the lowest-indexed zero-distance candidate is taken, and
     the pair is a true neighbour only when it also stays together at d+1
     (a zero-distance pair that separates has an infinite distance ratio).
@@ -99,25 +98,25 @@ def fnn_fractions(series: TimeSeries, d_max: int) -> np.ndarray:
     y = series.values
     sd = float(np.std(y))
     zero = 1e-9 * sd
+    all_d2 = np.zeros((t - 1, t - 1))
+    np.fill_diagonal(all_d2, np.inf)  # a point is not its own neighbour
     fractions = np.empty(d_max, dtype=float)
     for d in range(1, d_max + 1):
         m = t - d  # points present in both the d and d+1 embeddings
-        X = _windows(y, d)[:m]
-        sq = np.einsum("ij,ij->i", X, X)
-        D2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-        np.fill_diagonal(D2, np.inf)
-        # the tolerance absorbs the cancellation noise of the expansion above
-        tol2 = zero * zero + 8.0 * np.finfo(float).eps * (sq[:, None] + sq[None, :])
-        is_zero = D2 <= tol2
+        D2 = all_d2[:m, :m]
+        coordinate = y[d - 1 : t - 1]
+        step = np.subtract.outer(coordinate, coordinate)
+        D2 += np.square(step, out=step)
+        is_zero = D2 <= zero * zero
         has_dup = is_zero.any(axis=1)
         nn = np.where(has_dup, np.argmax(is_zero, axis=1), np.argmin(D2, axis=1))
         idx = np.arange(m)
         extra = np.abs(y[idx + d] - y[nn + d])
-        dist = np.sqrt(np.maximum(D2[idx, nn], 0.0))
+        d2 = D2[idx, nn]
         dup_false = has_dup & (extra > zero)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio_false = extra / dist > R_TOL
-        lonely = np.sqrt(dist**2 + extra**2) > A_TOL * sd
+            ratio_false = extra / np.sqrt(d2) > R_TOL
+        lonely = np.sqrt(d2 + extra**2) > A_TOL * sd
         plain_false = ~has_dup & (ratio_false | lonely)
         fractions[d - 1] = float(np.count_nonzero(dup_false | plain_false)) / m
     return fractions

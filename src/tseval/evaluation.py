@@ -187,19 +187,11 @@ class RankTable:
 
 def _row_ranks(A: np.ndarray) -> np.ndarray:
     """1-based ranks within each row; a run of tied values shares the mean
-    of its positions (the "average" tie rule)."""
-    order = np.argsort(A, axis=1, kind="stable")
-    ordered = np.take_along_axis(A, order, axis=1)
-    position = np.arange(A.shape[1])
-    starts = np.ones(A.shape, dtype=bool)
-    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    ends = np.ones(A.shape, dtype=bool)
-    ends[:, :-1] = starts[:, 1:]
-    first = np.maximum.accumulate(np.where(starts, position, 0), axis=1)
-    last = np.minimum.accumulate(np.where(ends, position, A.shape[1])[:, ::-1], axis=1)[:, ::-1]
-    ranks = np.empty(A.shape)
-    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=1)
-    return ranks
+    of its positions (the "average" tie rule), which is
+    (#values below + #values at or below + 1) / 2."""
+    below = (A[:, None, :] < A[:, :, None]).sum(axis=2)
+    at_or_below = (A[:, None, :] <= A[:, :, None]).sum(axis=2)
+    return (below + at_or_below + 1) / 2
 
 
 def average_ranks(apae_matrix, methods) -> RankTable:
@@ -239,8 +231,7 @@ def bayes_sign_test(
 
     Counts the differences per region, adds ``prior_strength`` pseudo-counts
     to the region itself, and draws Dirichlet vectors; each probability is
-    the fraction of draws in which its component is the strict maximum
-    (exact ties split equally).
+    the fraction of draws in which its component is the largest.
     """
     diffs = np.asarray(differences, dtype=float)
     if diffs.size < 1:
@@ -260,8 +251,5 @@ def bayes_sign_test(
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     draws = rng.gamma(shape=alpha, size=(samples, 3))
-    top = draws.max(axis=1, keepdims=True)
-    is_top = draws == top
-    shares = is_top / is_top.sum(axis=1, keepdims=True)
-    p = shares.mean(axis=0)
+    p = np.bincount(draws.argmax(axis=1), minlength=3) / samples
     return BayesSignResult(float(p[0]), float(p[1]), float(p[2]), counts)

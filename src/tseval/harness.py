@@ -72,6 +72,10 @@ class ExperimentConfig:
             raise ValueError("K must be >= 2")
         if self.nreps < 1:
             raise ValueError("nreps must be >= 1")
+        if self.d_max < 1:
+            raise ValueError("d_max must be >= 1")
+        if not 0.0 < self.fnn_tolerance < 1.0:
+            raise ValueError("fnn_tolerance must lie in (0, 1)")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; expected {METHODS}")

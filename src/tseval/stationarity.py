@@ -193,7 +193,7 @@ def wavelet_stationarity_test(
     y = series.values[t - n_used :]
     smooth_window = 2 ** int(np.ceil(J / 2))
 
-    stats: list[tuple[int, int, int, float]] = []  # (level, scale, position, |z|)
+    blocks: list[tuple[int, int, np.ndarray]] = []  # (level, scale, |z| per position)
     for level in range(1, max(J - 2, 1) + 1):
         periodogram = _haar_details(y, 2**level) ** 2
         if periodogram.size < smooth_window + 1:
@@ -216,33 +216,31 @@ def wavelet_stationarity_test(
         multiplier = max(1.0, mad_sd / anchor) if anchor > 0 else 1.0
         scale = base_scale
         while scale <= m:
-            coeffs = _haar_details(log_smoothed, scale)
             sd = _analytic_coefficient_sd(2**level, scale, smooth_window) * multiplier
-            if sd <= 0.0:
-                scale *= 2
-                continue
-            for pos, h in enumerate(coeffs):
-                stats.append((level, scale, pos, abs(float(h)) / sd))
+            if sd > 0.0:
+                blocks.append((level, scale, np.abs(_haar_details(log_smoothed, scale)) / sd))
             scale *= 2
 
-    n_tests = len(stats)
+    z = np.concatenate([np.empty(0)] + [block for *_, block in blocks])
+    n_tests = z.size
+    if not n_tests:
+        flagged = np.zeros(0, dtype=bool)
+    elif correction == "bonferroni":
+        flagged = z > NormalDist().inv_cdf(1.0 - alpha / (2.0 * n_tests))
+    else:
+        pvals = np.array([math.erfc(v / math.sqrt(2.0)) for v in z])
+        ranked = np.sort(pvals)
+        passing = ranked[ranked <= alpha * (np.arange(1, n_tests + 1) / n_tests)]
+        # BH rejects every p-value up to the largest passing one
+        flagged = pvals <= (passing[-1] if passing.size else -1.0)
+    # blocks are in (level, scale) order, so rejections come out in
+    # (level, scale, position) order
     rejections: list[Rejection] = []
-    if n_tests:
-        if correction == "bonferroni":
-            threshold = NormalDist().inv_cdf(1.0 - alpha / (2.0 * n_tests))
-            for level, scale, pos, z in stats:
-                if z > threshold:
-                    rejections.append(Rejection(level, scale, pos))
-        else:
-            pvals = np.array([math.erfc(z / math.sqrt(2.0)) for *_ignored, z in stats])
-            order = np.argsort(pvals, kind="stable")
-            ranked = pvals[order]
-            passing = ranked <= alpha * (np.arange(1, n_tests + 1) / n_tests)
-            cutoff = int(np.flatnonzero(passing)[-1]) + 1 if passing.any() else 0
-            for i in order[:cutoff]:
-                level, scale, pos, _ = stats[int(i)]
-                rejections.append(Rejection(level, scale, pos))
-            rejections.sort(key=lambda r: (r.periodogram_level, r.coefficient_scale, r.position))
+    start = 0
+    for level, scale, block in blocks:
+        hits = np.flatnonzero(flagged[start : start + block.size])
+        rejections += (Rejection(level, scale, int(pos)) for pos in hits)
+        start += block.size
     return WaveletTestResult(
         stationary=not rejections,
         rejections=tuple(rejections),

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -164,6 +166,31 @@ def test_stationarity_table(tmp_path, capsys):
     assert flat_row.split(",")[1] == "0"
     walk_row = next(l for l in lines if l.startswith("walk,"))
     assert walk_row.split(",")[1] == "1"
+
+
+def test_stationarity_quotes_names_with_commas(tmp_path, capsys):
+    path = tmp_path / "a,b.csv"
+    write_csv(TimeSeries(np.random.default_rng(0).normal(size=300), name="a,b"), path)
+    assert run_cli("stationarity", "--csv", str(path)) == 0
+    out = capsys.readouterr().out
+    assert list(csv.reader(io.StringIO(out))) == [["name", "I", "S", "rejections"],
+                                                  ["a,b", "0", "1", ""]]
+
+
+@pytest.mark.parametrize("flags", [("--max-d", "3"), ("--alpha", "0.7"), ("--alpha", "0")])
+def test_stationarity_rejects_bad_flag_values(tmp_path, capsys, flags):
+    path = tmp_path / "s.csv"
+    write_csv(TimeSeries(np.random.default_rng(0).normal(size=300), name="s"), path)
+    assert run_cli("stationarity", "--csv", str(path), *flags) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flags", [("--fnn-tolerance", "2"), ("--d-max", "0")])
+def test_evaluate_rejects_bad_fnn_settings(tmp_path, flags):
+    out = tmp_path / "r.csv"
+    assert run_cli("evaluate", *_two_walks(tmp_path), "--methods", "Holdout",
+                   "--out", str(out), *flags) == 1
+    assert not out.exists()
 
 
 def test_embed_subcommand(tmp_path, capsys):

@@ -87,11 +87,25 @@ def test_fnn_sine_matches_brute_force_and_selects_two():
     y = np.sin(2 * np.pi * np.arange(400) / 20.0)
     s = TimeSeries(y)
     lib = fnn_fractions(s, 3)
-    brute = [brute_fnn_fraction(y, d) for d in (1, 2, 3)]
-    assert lib == pytest.approx(brute, abs=1e-12)
+    assert lib.tolist() == [brute_fnn_fraction(y, d) for d in (1, 2, 3)]
     assert lib[0] > 0.01
     assert lib[1] == 0.0
     assert estimate_embedding_dimension(s, d_max=10) == 2
+
+
+_RNG = np.random.default_rng(11)
+
+
+@pytest.mark.parametrize("y", [
+    # one decimal of 150 normal draws repeats values and whole points
+    np.round(_RNG.normal(size=150), 1),
+    # at level 9000 a Gram expansion of the distances loses about eight digits
+    9000.0 + np.cumsum(_RNG.normal(size=150)),
+    np.full(60, 3.0),
+], ids=["rounded-noise", "walk-at-9000", "constant"])
+def test_fnn_matches_brute_force(y):
+    lib = fnn_fractions(TimeSeries(y), 3)
+    assert lib.tolist() == [brute_fnn_fraction(y, d) for d in (1, 2, 3)]
 
 
 def test_fnn_constant_series():

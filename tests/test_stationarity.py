@@ -101,6 +101,17 @@ def test_wavelet_fdr_mode_detects_break_too():
     assert len(fdr.rejections) >= len(bonf.rejections)
 
 
+@pytest.mark.parametrize("correction", ["bonferroni", "fdr"])
+def test_wavelet_rejections_come_in_level_scale_position_order(correction):
+    rng = np.random.default_rng(1000)
+    y = np.concatenate([rng.normal(0, 1, 512), rng.normal(0, 3, 512)])
+    triples = [(r.periodogram_level, r.coefficient_scale, r.position)
+               for r in wavelet_stationarity_test(TimeSeries(y), correction=correction).rejections]
+    assert len({level for level, _, _ in triples}) > 1
+    assert len({scale for _, scale, _ in triples}) > 1
+    assert triples == sorted(set(triples))
+
+
 def test_wavelet_validation():
     with pytest.raises(ValueError):
         wavelet_stationarity_test(TimeSeries(np.arange(63.0)))
