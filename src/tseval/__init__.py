@@ -33,9 +33,11 @@ from .harness import (
 )
 from .learners import (
     KnnModel,
+    LassoFolds,
     LassoModel,
     LearnerSpec,
     fit,
+    fit_lasso_folds,
     kkt_violation,
     lambda_max,
     predict,

@@ -307,7 +307,20 @@ def _cmd_evaluate(args) -> int:
     return _finish_experiment(run_experiment(config), args)
 
 
+def _check_bayes_flags(
+    rope: float, samples: int, samples_flag: str, prior_strength: float = 1.0
+) -> None:
+    """Reject Bayes sign-test settings before any work is done."""
+    if not rope > 0:
+        raise ValueError(f"--rope must be positive, got {rope}")
+    if samples < 1:
+        raise ValueError(f"{samples_flag} must be >= 1, got {samples}")
+    if not prior_strength >= 0:
+        raise ValueError(f"--prior-strength must be non-negative, got {prior_strength}")
+
+
 def _cmd_benchmark(args) -> int:
+    _check_bayes_flags(args.rope, args.bayes_samples, "--bayes-samples")
     config = ExperimentConfig(
         dgp=args.dgp,
         trials=args.trials,
@@ -350,6 +363,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_bayes_flags(args.rope, args.samples, "--samples", args.prior_strength)
     results = read_results_csv(args.results)
     comparisons = compare_to_baseline(
         results,

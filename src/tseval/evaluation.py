@@ -9,12 +9,13 @@ scored on the held-out validation part.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import embed
-from .learners import LearnerSpec, fit, predict
+from .learners import LearnerSpec, fit, fit_lasso_folds, predict
 from .series import TimeSeries
 from .splitters import ResamplingPlan, build_plan
 
@@ -33,6 +34,8 @@ __all__ = [
     "BayesSignResult",
     "bayes_sign_test",
 ]
+
+logger = logging.getLogger("tseval")
 
 
 def rmse(predictions, actuals) -> float:
@@ -105,25 +108,46 @@ _POOLED = ("Preq-Grow", "Preq-Slide")
 def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimate:
     """Fit/score the learner over every iteration of an existing plan.
 
+    The lasso fits every training set of the plan at once with
+    :func:`~tseval.learners.fit_lasso_folds` (prefix-sum moments, one path run
+    per distinct active set and signs, a KKT certificate for the rest) and
+    predicts every test row in one product; the sets it leaves to ``fit``
+    (fewer than two rows, or a column too nearly constant for prefix sums)
+    go through ``fit`` and ``predict`` one by one, as every k-NN fold does.
+
     The estimate averages per-iteration RMSEs (one error estimate per fold),
     except for Preq-Grow and Preq-Slide, whose squared errors are pooled
     across iterations before taking the root.
     """
     X, y = dataset.predictors, dataset.targets
-    fold_losses = []
-    sse = 0.0
-    count = 0
-    for it in plan.iterations:
+    iterations = plan.iterations
+    tests = np.concatenate([it.test for it in iterations])
+    bounds = np.cumsum([0] + [it.test.size for it in iterations])
+    if learner.kind == "lasso":
+        folds = fit_lasso_folds(learner, X, y, [it.train for it in iterations])
+        fold = np.repeat(np.arange(len(iterations)), np.diff(bounds))
+        predictions = np.einsum(
+            "ij,ij->i", X[tests], folds.coefficients[fold]
+        ) + folds.intercepts[fold]
+        refit = np.flatnonzero(~folds.fitted)
+        logger.debug(
+            "run_plan %s: %d folds, %d path runs, %d fallback folds",
+            plan.method, len(iterations), folds.path_runs, refit.size,
+        )
+    else:
+        predictions = np.empty(tests.size)
+        refit = range(len(iterations))
+    for i in refit:
+        it = iterations[i]
         model = fit(learner, X[it.train], y[it.train])
-        errors = predict(model, X[it.test]) - y[it.test]
-        fold_losses.append(float(np.sqrt(np.mean(errors**2))))
-        sse += float(errors @ errors)
-        count += errors.size
+        predictions[bounds[i] : bounds[i + 1]] = predict(model, X[it.test])
+    squares = (predictions - y[tests]) ** 2
+    fold_losses = np.sqrt([squares[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
     if plan.method in _POOLED:
-        estimate = float(np.sqrt(sse / count))
+        estimate = float(np.sqrt(sum(squares.tolist()) / squares.size))
     else:
         estimate = float(np.mean(fold_losses))
-    return LossEstimate(estimate, tuple(fold_losses))
+    return LossEstimate(estimate, tuple(fold_losses.tolist()))
 
 
 def estimate_loss(

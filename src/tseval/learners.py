@@ -6,6 +6,19 @@ deterministic. The lasso is solved exactly by following its piecewise-linear
 path from lambda_max down to the penalty (the homotopy / LARS-lasso method),
 one p x p active-set solve per breakpoint, so near-collinear predictors such
 as the lags of a random walk cost no more than well-conditioned ones.
+
+:func:`fit_lasso_folds` fits the lasso on every training set of a resampling
+plan at once. Each set's means, standardized Gram matrix and correlations come
+from prefix sums of the rows and their outer products, summed over the set's
+runs of consecutive rows. The path runs on the first unsolved set; its active
+set A and signs s are a candidate for all the others, which solve
+G_AA b = c_A - lam s in one stacked solve. A set takes b when b has the signs
+s and every inactive gradient |c_j - G_jA b| is at most lam: these are the
+lasso's KKT conditions, so b is its exact solution (within rounding). The path
+then runs on the first set that failed, and so on until every set is solved.
+Sets of fewer than two rows, and sets in which a column's variance is too
+small a share of its second moment for prefix sums to resolve, are left to
+:func:`fit`.
 """
 
 from __future__ import annotations
@@ -19,7 +32,9 @@ __all__ = [
     "LearnerSpec",
     "LassoModel",
     "KnnModel",
+    "LassoFolds",
     "fit",
+    "fit_lasso_folds",
     "predict",
     "lambda_max",
     "kkt_violation",
@@ -214,6 +229,20 @@ def _lasso_path(
     return beta, False
 
 
+def _path_solution(
+    spec: LearnerSpec, G: np.ndarray, c: np.ndarray, lam: float, live: np.ndarray
+) -> np.ndarray:
+    """The path's solution; warns when it misses ``spec``'s acceptance test."""
+    beta, reached = _lasso_path(G, c, lam, live, spec.max_iter)
+    if not reached or _kkt_residual(c - G @ beta, beta, lam, live) > 10.0 * spec.tol:
+        warnings.warn(
+            f"lasso path did not meet tol={spec.tol:g} within "
+            f"max_iter={spec.max_iter} steps",
+            stacklevel=4,
+        )
+    return beta
+
+
 def _fit_lasso(spec: LearnerSpec, X: np.ndarray, y: np.ndarray) -> LassoModel:
     n, p = X.shape
     mu, sigma, G, c = _standardized_gram(X, y)
@@ -234,13 +263,7 @@ def _fit_lasso(spec: LearnerSpec, X: np.ndarray, y: np.ndarray) -> LassoModel:
     if lam is None:
         lam = 0.01 * float(np.max(np.abs(c)))
 
-    beta, reached = _lasso_path(G, c, lam, live, spec.max_iter)
-    if not reached or _kkt_residual(c - G @ beta, beta, lam, live) > 10.0 * spec.tol:
-        warnings.warn(
-            f"lasso path did not meet tol={spec.tol:g} within "
-            f"max_iter={spec.max_iter} steps",
-            stacklevel=3,
-        )
+    beta = _path_solution(spec, G, c, lam, live)
     coef = beta / scales
     return LassoModel(
         p=p,
@@ -251,6 +274,134 @@ def _fit_lasso(spec: LearnerSpec, X: np.ndarray, y: np.ndarray) -> LassoModel:
         column_scales=scales,
         lam=lam,
     )
+
+
+# A set in which some column's variance is at most this share of its second
+# moment about the dataset mean would lose more than half its digits to
+# cancellation in the prefix-sum moments; it is left to ``fit``, which also
+# detects constant columns exactly.
+_MOMENT_TOL = 1e-8
+
+
+@dataclass(frozen=True, eq=False)
+class LassoFolds:
+    """Lasso fits of a stack of training sets, one row per set, in the
+    original units. Rows where ``fitted`` is False are NaN: those sets are
+    left for :func:`fit`. ``path_runs`` counts the sets the path solved; the
+    others passed the KKT certificate."""
+
+    coefficients: np.ndarray
+    intercepts: np.ndarray
+    fitted: np.ndarray
+    path_runs: int
+
+
+def _set_moments(Z: np.ndarray, trains) -> np.ndarray:
+    """Sums of [1, z][1, z]' over each training set's rows of Z, from one
+    prefix sum: each set adds up the differences over its runs of
+    consecutive rows (one run for a window, two for blocked CV)."""
+    n, q = Z.shape
+    W = np.column_stack([np.ones(n), Z])
+    prefix = np.zeros((n + 1, q + 1, q + 1))
+    np.cumsum(W[:, :, None] * W[:, None, :], axis=0, out=prefix[1:])
+    lo, hi, first = [], [], [0]
+    for train in trains:
+        if train[-1] - train[0] + 1 == train.size:
+            breaks = np.empty(0, dtype=np.intp)
+        else:
+            breaks = np.flatnonzero(np.diff(train) > 1) + 1
+        lo.append(train[np.concatenate(([0], breaks))])
+        hi.append(train[np.concatenate((breaks - 1, [-1]))] + 1)
+        first.append(first[-1] + breaks.size + 1)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    return np.add.reduceat(prefix[hi] - prefix[lo], first[:-1])
+
+
+def _certify(G, c, lam, active, signs) -> tuple[np.ndarray, np.ndarray]:
+    """Solve every set's active system for the candidate (active, signs) in
+    one stacked solve; return the solutions and which of them meet the KKT
+    conditions exactly. A set is refused when an active column is within
+    ``_SPAN_TOL`` of the span of the other active ones, as the path would
+    never let it join; if any set's system is singular, none is certified
+    and the path solves the sets one by one."""
+    GA = G[:, :, active]
+    GAA = GA[:, active]
+    rhs = (c[:, active] - lam[:, None] * signs)[:, :, None]
+    identity = np.broadcast_to(np.eye(active.size), GAA.shape)
+    try:
+        solved = np.linalg.solve(GAA, np.concatenate([rhs, identity], axis=2))
+    except np.linalg.LinAlgError:
+        return rhs[:, :, 0], np.zeros(len(c), dtype=bool)
+    b = solved[:, :, 0]
+    # 1 / (G_AA^-1)_jj is what column j keeps of its norm off the other
+    # active columns
+    inverse = solved[:, :, 1:].diagonal(axis1=1, axis2=2)
+    ok = np.all((inverse > 0.0) & (_SPAN_TOL * GAA.diagonal(axis1=1, axis2=2) * inverse < 1.0),
+                axis=1)
+    ok &= np.all(np.sign(b) == signs, axis=1)
+    grad = c - (GA @ b[:, :, None])[:, :, 0]
+    inactive = np.ones(c.shape[1], dtype=bool)
+    inactive[active] = False
+    ok &= np.all(np.abs(grad[:, inactive]) <= lam[:, None], axis=1)
+    return b, ok
+
+
+def fit_lasso_folds(spec: LearnerSpec, predictors, targets, trains) -> LassoFolds:
+    """Fit the lasso on each training set, given as strictly increasing row
+    indices into the predictors and targets (as a plan's are). See the
+    module docstring for the method; each solved set equals
+    ``fit(spec, predictors[train], targets[train])`` within the solver's
+    tolerance."""
+    if spec.kind != "lasso":
+        raise ValueError("fit_lasso_folds fits the lasso only")
+    X, y = _validate_xy(predictors, targets)
+    p = X.shape[1]
+    Z = np.column_stack([X, y])
+    shift = Z.mean(axis=0)
+    sums = _set_moments(Z - shift, trains)
+    count = sums[:, 0, 0]
+    moments = sums / count[:, None, None]
+    mean = moments[:, 0, 1:]
+    cov = moments[:, 1:, 1:] - mean[:, :, None] * mean[:, None, :]
+    var = cov.diagonal(axis1=1, axis2=2)
+    raw = moments[:, 1:, 1:].diagonal(axis1=1, axis2=2)
+    fitted = (count >= 2) & np.all(var > _MOMENT_TOL * raw, axis=1)
+    solved = np.flatnonzero(fitted)
+
+    sigma = np.sqrt(var[solved, :p])
+    G = cov[solved, :p, :p] / (sigma[:, :, None] * sigma[:, None, :])
+    c = cov[solved, :p, p] / sigma
+    if spec.lam is None:
+        lam = 0.01 * np.max(np.abs(c), axis=1)
+    else:
+        lam = np.full(solved.size, spec.lam)
+    live = np.ones(p, dtype=bool)
+    beta = np.zeros((solved.size, p))
+    todo = np.arange(solved.size)
+    tried = set()
+    path_runs = 0
+    while todo.size:
+        head, todo = todo[0], todo[1:]
+        beta[head] = _path_solution(spec, G[head], c[head], lam[head], live)
+        path_runs += 1
+        active = np.flatnonzero(beta[head])
+        signs = np.sign(beta[head, active])
+        pattern = (active.tobytes(), signs.tobytes())
+        if not todo.size or pattern in tried:
+            continue  # every set still to do has already failed this pattern
+        tried.add(pattern)
+        b, ok = _certify(G[todo], c[todo], lam[todo], active, signs)
+        beta[todo[ok][:, None], active] = b[ok]
+        todo = todo[~ok]
+
+    F = len(count)
+    coefficients = np.full((F, p), np.nan)
+    intercepts = np.full(F, np.nan)
+    coefficients[solved] = beta / sigma
+    intercepts[solved] = mean[solved, p] + shift[p] - np.einsum(
+        "ij,ij->i", coefficients[solved], mean[solved, :p] + shift[:p]
+    )
+    return LassoFolds(coefficients, intercepts, fitted, path_runs)
 
 
 def fit(spec: LearnerSpec, predictors, targets) -> LassoModel | KnnModel:

@@ -193,6 +193,27 @@ def test_evaluate_rejects_bad_fnn_settings(tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [("--bayes-samples", "0"), ("--rope", "-1"), ("--rope", "0")])
+def test_benchmark_rejects_bad_bayes_flags_before_the_study(tmp_path, monkeypatch, flags):
+    studies = []
+    monkeypatch.setattr(tseval.cli, "run_experiment", studies.append)
+    out = tmp_path / "r.csv"
+    assert run_cli("benchmark", "--dgp", "s1", "--trials", "20", "--out", str(out), *flags) == 1
+    assert not studies
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [("--samples", "0"), ("--rope", "-1"), ("--prior-strength", "-0.5")]
+)
+def test_compare_rejects_bad_bayes_flags_before_reading(tmp_path, caplog, flags):
+    out = tmp_path / "cmp.csv"
+    missing = tmp_path / "missing.csv"
+    assert run_cli("compare", "--results", str(missing), "--out", str(out), *flags) == 1
+    assert not out.exists()
+    assert flags[0] in caplog.text and "missing.csv" not in caplog.text
+
+
 def test_embed_subcommand(tmp_path, capsys):
     series_path = tmp_path / "s.csv"
     write_csv(TimeSeries(np.arange(30.0), name="s"), series_path)

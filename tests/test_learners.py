@@ -3,7 +3,23 @@ import warnings
 import numpy as np
 import pytest
 
-from tseval import LearnerSpec, TimeSeries, embed, fit, kkt_violation, lambda_max, predict
+from tseval import (
+    METHODS,
+    DGPSpec,
+    EmptyTrainingSetError,
+    LassoModel,
+    LearnerSpec,
+    TimeSeries,
+    build_plan,
+    embed,
+    fit,
+    fit_lasso_folds,
+    kkt_violation,
+    lambda_max,
+    predict,
+    run_plan,
+)
+from tseval.synthetic import simulate
 
 
 def test_spec_validation():
@@ -184,3 +200,173 @@ def test_knn_ties_take_lowest_index():
 def test_knn_needs_k_rows():
     with pytest.raises(ValueError, match="k=5"):
         fit(LearnerSpec(kind="knn", k=5), np.ones((3, 2)), np.ones(3))
+
+
+# --- the stacked lasso of run_plan against a per-fold fit/predict loop ---
+
+
+def _walk(rng, t):
+    return 50.0 + np.cumsum(2.0 + rng.normal(size=t))
+
+
+def _shift(rng, t):
+    noise = rng.normal(size=t)
+    y = np.zeros(t)
+    for i in range(1, t):
+        y[i] = 0.6 * y[i - 1] + noise[i]
+    return 10.0 + y + np.where(np.arange(t) >= t // 2, 5.0, 0.0)
+
+
+def _trend(rng, t):
+    i = np.arange(t)
+    return 10.0 + 0.01 * i + 3.0 * np.sin(2.0 * np.pi * i / 12.0 + 1.0) + rng.normal(size=t)
+
+
+def _dgp(kind):
+    return lambda rng, t: simulate(DGPSpec(kind=kind, length=t), rng).values
+
+
+SERIES = {"walk": _walk, "shift": _shift, "trend": _trend,
+          "s1": _dgp("s1"), "s2": _dgp("s2"), "s3": _dgp("s3")}
+
+
+def per_fold_losses(plan, ds, spec):
+    """The estimate and fold RMSEs from one fit/predict per iteration."""
+    errors = [
+        predict(fit(spec, ds.predictors[it.train], ds.targets[it.train]), ds.predictors[it.test])
+        - ds.targets[it.test]
+        for it in plan.iterations
+    ]
+    folds = np.array([np.sqrt(np.mean(e**2)) for e in errors])
+    if plan.method in ("Preq-Grow", "Preq-Slide"):
+        return np.sqrt(np.mean(np.concatenate(errors) ** 2)), folds
+    return folds.mean(), folds
+
+
+def _plans(ds, p):
+    plans = []
+    for method in METHODS:
+        try:
+            plans.append(build_plan(method, ds.n, p=p, seed=3))
+        except EmptyTrainingSetError:
+            assert method == "CV-Mod" and p == 30  # removal leaves no rows at K=10
+    return plans
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 30])
+@pytest.mark.parametrize("kind", sorted(SERIES))
+def test_run_plan_lasso_matches_per_fold_fits(kind, p):
+    values = SERIES[kind](np.random.default_rng([p, len(kind)]), 200 if p < 30 else 400)
+    ds = embed(TimeSeries(values), p)
+    spec = LearnerSpec()
+    for plan in _plans(ds, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_plan(plan, ds, spec)
+        estimate, folds = per_fold_losses(plan, ds, spec)
+        assert got.estimate == pytest.approx(estimate, rel=1e-9), plan.method
+        # a one-row fold's loss can be ~0, so its error is scaled by the estimate
+        assert got.fold_losses == pytest.approx(folds, rel=1e-9, abs=1e-9 * estimate)
+
+
+def _fold_models(spec, ds, plan):
+    """Each fitted fold as a LassoModel, with its penalty and scaling
+    recomputed from the fold's own rows."""
+    trains = [it.train for it in plan.iterations]
+    folds = fit_lasso_folds(spec, ds.predictors, ds.targets, trains)
+    models = []
+    for i in np.flatnonzero(folds.fitted):
+        X, y = ds.predictors[trains[i]], ds.targets[trains[i]]
+        scales = X.std(axis=0)
+        lam = 0.01 * lambda_max(X, y) if spec.lam is None else spec.lam
+        model = LassoModel(X.shape[1], folds.coefficients[i], float(folds.intercepts[i]),
+                           folds.coefficients[i] * scales, X.mean(axis=0), scales, lam)
+        models.append((model, X, y))
+    return folds, models
+
+
+@pytest.mark.parametrize("kind", ["walk", "shift", "trend", "s3"])
+def test_stacked_folds_meet_their_kkt_conditions(kind):
+    ds = embed(TimeSeries(SERIES[kind](np.random.default_rng(9), 300)), 5)
+    spec = LearnerSpec()
+    for plan in _plans(ds, 5):
+        folds, models = _fold_models(spec, ds, plan)
+        assert folds.fitted.all()
+        for model, X, y in models:
+            assert kkt_violation(model, X, y) <= 10.0 * spec.tol
+
+
+def test_shift_series_needs_more_than_one_path_run():
+    # the level shift changes the sign pattern along the plan, so the first
+    # path run's candidate certifies only part of the folds
+    ds = embed(TimeSeries(_shift(np.random.default_rng(1), 800)), 5)
+    plan = build_plan("Preq-Grow", ds.n)
+    folds, models = _fold_models(LearnerSpec(), ds, plan)
+    assert 1 < folds.path_runs < len(plan.iterations)
+    assert len(models) == len(plan.iterations)
+    for model, X, y in models:
+        assert kkt_violation(model, X, y) <= 1e-5
+
+
+def test_nearly_constant_column_falls_back_to_fit():
+    # a flat stretch makes both lag columns constant on the third
+    # Preq-Sld-Bls training block: that fold goes through fit, which zeroes
+    # the constant columns exactly
+    values = np.random.default_rng(3).normal(size=200)
+    values[40:60] = 1.5
+    ds = embed(TimeSeries(values), 2)
+    plan = build_plan("Preq-Sld-Bls", ds.n)
+    trains = [it.train for it in plan.iterations]
+    folds = fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, trains)
+    assert np.flatnonzero(~folds.fitted).tolist() == [2]
+    assert np.isnan(folds.coefficients[2]).all()
+    got = run_plan(plan, ds, LearnerSpec())
+    estimate, losses = per_fold_losses(plan, ds, LearnerSpec())
+    assert got.estimate == pytest.approx(estimate, rel=1e-9)
+    assert got.fold_losses == pytest.approx(losses, rel=1e-9)
+
+
+def test_single_row_fold_falls_back_to_fit():
+    ds = embed(TimeSeries(np.random.default_rng(4).normal(size=30)), 2)
+    trains = [np.array([0]), np.arange(10)]
+    folds = fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, trains)
+    assert folds.fitted.tolist() == [False, True]
+
+
+def test_zero_penalty_on_a_line_predicts_exactly():
+    # every lag of a line is an exact affine function of the others, so the
+    # path keeps one of them, and the others' gradients must vanish at lam=0
+    ds = embed(TimeSeries(np.arange(60.0)), 3)
+    spec = LearnerSpec(lam=0.0, tol=1e-12)
+    for plan in _plans(ds, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_plan(plan, ds, spec)
+        assert got.estimate == pytest.approx(0.0, abs=1e-9)
+        assert np.max(got.fold_losses) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("equal_rows_first", [True, False])
+def test_collinear_candidate_columns_leave_the_fold_to_the_path(equal_rows_first):
+    # small integers keep the dataset means exact and equal; the two columns
+    # are equal on one fold and independent on the other, whose two-column
+    # active set is the candidate. With the equal rows first their prefix
+    # sums agree bit for bit and the candidate's system is exactly singular;
+    # with them second it is singular only up to rounding, and the solution
+    # it gives (~1e12 coefficients) would pass the sign and gradient tests
+    rng = np.random.default_rng(6)
+    free = rng.integers(-5, 6, size=50).astype(float)
+    equal = rng.integers(-5, 6, size=50).astype(float)
+    parts = [np.column_stack([equal, equal]), np.column_stack([free, free[::-1]])]
+    X = np.vstack(parts if equal_rows_first else parts[::-1])
+    y = X[:, 0] - X[:, 1] + rng.normal(size=100)
+    halves = [np.arange(50), np.arange(50, 100)]
+    trains = halves[::-1] if equal_rows_first else halves
+    spec = LearnerSpec()
+    folds = fit_lasso_folds(spec, X, y, trains)
+    assert folds.fitted.all() and folds.path_runs == 2
+    for i, train in enumerate(trains):
+        model = fit(spec, X[train], y[train])
+        assert X[train] @ folds.coefficients[i] + folds.intercepts[i] == pytest.approx(
+            predict(model, X[train]), rel=1e-9
+        )
