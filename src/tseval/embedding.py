@@ -1,9 +1,24 @@
-"""Time-delay embedding and false-nearest-neighbours dimension selection."""
+"""Time-delay embedding, squared distances between embedded rows, and
+false-nearest-neighbours dimension selection.
+
+:func:`estimate_embedding_dimension` steps d = 1, 2, ... and stops at the
+first dimension whose false-neighbour fraction is at most the tolerance;
+:func:`fnn_fractions` runs every step up to ``d_max``. Both keep one
+(t-1) x (t-1) matrix of running squared distances and update it in row
+chunks, so each step's temporaries (the squared coordinate differences and
+the zero mask) hold about ``_CHUNK`` entries whatever the length of the
+series.
+:func:`squared_distances` is chunked the same way; it is the k-NN metric,
+and an :class:`EmbeddedDataset` keeps the matrix of its own rows once it
+has been asked for it.
+"""
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -13,6 +28,7 @@ from .series import TimeSeries
 __all__ = [
     "EmbeddedDataset",
     "embed",
+    "squared_distances",
     "fnn_fractions",
     "estimate_embedding_dimension",
 ]
@@ -49,6 +65,41 @@ class EmbeddedDataset:
     def n(self) -> int:
         return int(self.targets.size)
 
+    @cached_property
+    def knn_distances(self) -> np.ndarray:
+        """Read-only n x n squared distances between the rows, computed on
+        first use; entry (i, j) is what k-NN ``predict`` computes for row i
+        against training row j."""
+        D = squared_distances(self.predictors, self.predictors)
+        D.flags.writeable = False
+        return D
+
+
+# entries of the temporaries that one row chunk may hold (1 MiB of floats)
+_CHUNK = 1 << 17
+
+
+def _row_chunks(m: int, width: int) -> Iterator[slice]:
+    """Consecutive slices over m rows, each covering at most ``_CHUNK``
+    entries of a row ``width`` wide (and at least one row)."""
+    step = max(1, _CHUNK // max(1, width))
+    for start in range(0, m, step):
+        yield slice(start, min(start + step, m))
+
+
+def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from every row of A to every row of B.
+
+    Each entry is one ``einsum`` reduction of the row difference with
+    itself, whatever the chunking, so an entry does not depend on which
+    other rows share its call.
+    """
+    out = np.empty((A.shape[0], B.shape[0]))
+    for rows in _row_chunks(A.shape[0], B.size):
+        diff = A[rows, None, :] - B[None, :, :]
+        np.einsum("mnp,mnp->mn", diff, diff, out=out[rows])
+    return out
+
 
 def embed(series: TimeSeries, p: int) -> EmbeddedDataset:
     """Recast a series as (p lagged predictors -> next value) rows."""
@@ -83,13 +134,19 @@ def fnn_fractions(series: TimeSeries, d_max: int) -> np.ndarray:
     leaves the pair farther apart than ``A_TOL`` series standard deviations.
 
     Squared distances are running sums, one squared coordinate difference
-    per dimension in coordinate order, so nothing cancels.
+    per dimension in coordinate order, so nothing cancels. Each step adds
+    its coordinate and finds the neighbours one row chunk at a time.
 
     Duplicate points need care: distances up to 1e-9 standard deviations
     count as zero, the lowest-indexed zero-distance candidate is taken, and
     the pair is a true neighbour only when it also stays together at d+1
     (a zero-distance pair that separates has an infinite distance ratio).
     """
+    return np.fromiter(_false_fractions(series, d_max), dtype=float, count=d_max)
+
+
+def _false_fractions(series: TimeSeries, d_max: int) -> Iterator[float]:
+    """The fractions of :func:`fnn_fractions`, one dimension at a time."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     t = len(series)
@@ -100,26 +157,27 @@ def fnn_fractions(series: TimeSeries, d_max: int) -> np.ndarray:
     zero = 1e-9 * sd
     all_d2 = np.zeros((t - 1, t - 1))
     np.fill_diagonal(all_d2, np.inf)  # a point is not its own neighbour
-    fractions = np.empty(d_max, dtype=float)
     for d in range(1, d_max + 1):
         m = t - d  # points present in both the d and d+1 embeddings
-        D2 = all_d2[:m, :m]
         coordinate = y[d - 1 : t - 1]
-        step = np.subtract.outer(coordinate, coordinate)
-        D2 += np.square(step, out=step)
-        is_zero = D2 <= zero * zero
-        has_dup = is_zero.any(axis=1)
-        nn = np.where(has_dup, np.argmax(is_zero, axis=1), np.argmin(D2, axis=1))
-        idx = np.arange(m)
-        extra = np.abs(y[idx + d] - y[nn + d])
-        d2 = D2[idx, nn]
+        has_dup = np.empty(m, dtype=bool)
+        nn = np.empty(m, dtype=np.intp)
+        d2 = np.empty(m)
+        for rows in _row_chunks(m, m):
+            D2 = all_d2[rows, :m]
+            step = np.subtract.outer(coordinate[rows], coordinate)
+            D2 += np.square(step, out=step)
+            is_zero = D2 <= zero * zero
+            has_dup[rows] = is_zero.any(axis=1)
+            nn[rows] = np.where(has_dup[rows], np.argmax(is_zero, axis=1), np.argmin(D2, axis=1))
+            d2[rows] = D2[np.arange(D2.shape[0]), nn[rows]]
+        extra = np.abs(y[d:] - y[nn + d])
         dup_false = has_dup & (extra > zero)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio_false = extra / np.sqrt(d2) > R_TOL
         lonely = np.sqrt(d2 + extra**2) > A_TOL * sd
         plain_false = ~has_dup & (ratio_false | lonely)
-        fractions[d - 1] = float(np.count_nonzero(dup_false | plain_false)) / m
-    return fractions
+        yield float(np.count_nonzero(dup_false | plain_false)) / m
 
 
 def estimate_embedding_dimension(
@@ -127,15 +185,14 @@ def estimate_embedding_dimension(
 ) -> int:
     """Smallest dimension whose false-neighbour fraction drops to ``tolerance``.
 
-    Falls back to ``d_max`` (with a warning) when no dimension qualifies.
-    Deterministic for a fixed series.
+    Stops at that dimension; falls back to ``d_max`` (with a warning) when
+    no dimension qualifies. Deterministic for a fixed series.
     """
     if not 0.0 < tolerance < 1.0:
         raise ValueError("tolerance must lie in (0, 1)")
-    fractions = fnn_fractions(series, d_max)
-    qualifying = np.flatnonzero(fractions <= tolerance)
-    if qualifying.size:
-        return int(qualifying[0]) + 1
+    for d, fraction in enumerate(_false_fractions(series, d_max), start=1):
+        if fraction <= tolerance:
+            return d
     warnings.warn(
         f"false-neighbour fraction stayed above {tolerance:g} up to d_max={d_max}; "
         "returning d_max",

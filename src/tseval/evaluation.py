@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import embed
-from .learners import LearnerSpec, fit, fit_lasso_folds, predict
+from .embedding import EmbeddedDataset, _row_chunks, embed
+from .learners import LearnerSpec, check_knn_rows, fit, fit_lasso_folds, knn_average, predict
 from .series import TimeSeries
 from .splitters import ResamplingPlan, build_plan
 
@@ -113,7 +113,16 @@ def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimat
     per distinct active set and signs, a KKT certificate for the rest) and
     predicts every test row in one product; the sets it leaves to ``fit``
     (fewer than two rows, or a column too nearly constant for prefix sums)
-    go through ``fit`` and ``predict`` one by one, as every k-NN fold does.
+    go through ``fit`` and ``predict`` one by one.
+
+    k-NN reads every distance from the dataset's ``knn_distances`` matrix,
+    computed once per dataset, and predicts the plan's test rows in row
+    chunks: each row's columns outside its fold's training set are masked
+    with NaN, which sorts after every distance (an overflowed ``inf`` too),
+    and :func:`~tseval.learners.knn_average` picks the neighbours. The
+    predictions are those of ``fit`` and ``predict`` fold by fold, byte for
+    byte, and a training set of fewer than k rows raises ``fit``'s error for
+    the first such fold.
 
     The estimate averages per-iteration RMSEs (one error estimate per fold),
     except for Preq-Grow and Preq-Slide, whose squared errors are pooled
@@ -135,8 +144,8 @@ def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimat
             plan.method, len(iterations), folds.path_runs, refit.size,
         )
     else:
-        predictions = np.empty(tests.size)
-        refit = range(len(iterations))
+        predictions = _knn_predictions(learner.k, dataset, iterations, tests, bounds)
+        refit = ()
     for i in refit:
         it = iterations[i]
         model = fit(learner, X[it.train], y[it.train])
@@ -150,19 +159,38 @@ def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimat
     return LossEstimate(estimate, tuple(fold_losses.tolist()))
 
 
+def _knn_predictions(k: int, dataset, iterations, tests, bounds) -> np.ndarray:
+    """k-NN prediction of every test row of a plan (see :func:`run_plan`)."""
+    for it in iterations:
+        check_knn_rows(k, it.train.size)
+    D, n = dataset.knn_distances, dataset.n
+    fold = np.repeat(np.arange(len(iterations)), np.diff(bounds))
+    predictions = np.empty(tests.size)
+    for rows in _row_chunks(tests.size, n):
+        first, last = fold[rows.start], fold[rows.stop - 1]
+        trains = [it.train for it in iterations[first : last + 1]]
+        member = np.zeros((len(trains), n), dtype=bool)
+        member[np.repeat(np.arange(len(trains)), [t.size for t in trains]),
+               np.concatenate(trains)] = True
+        block = D[tests[rows]]
+        block[~member[fold[rows] - first]] = np.nan
+        predictions[rows] = knn_average(block, dataset.targets, k)
+    return predictions
+
+
 def estimate_loss(
-    estimation_series: TimeSeries,
+    dataset: EmbeddedDataset,
     method: str,
     learner: LearnerSpec,
-    p: int,
     *,
     K: int = 10,
     nreps: int = 10,
     seed: int | None = None,
 ) -> LossEstimate:
-    """Embed once, build the named plan over the rows, and run it."""
-    dataset = embed(estimation_series, p)
-    plan = build_plan(method, dataset.n, K=K, p=p, nreps=nreps, seed=seed)
+    """Build the named plan over the rows of an embedded estimation series
+    and run it. The caller embeds the series once for all its methods, so
+    k-NN computes the rows' distance matrix once for all of them too."""
+    plan = build_plan(method, dataset.n, K=K, p=dataset.p, nreps=nreps, seed=seed)
     return run_plan(plan, dataset, learner)
 
 

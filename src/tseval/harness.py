@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import estimate_embedding_dimension
+from .embedding import embed, estimate_embedding_dimension
 from .evaluation import (
     BayesSignResult,
     EstimationResult,
@@ -133,10 +133,11 @@ def _choose_dimension(config: ExperimentConfig, series: TimeSeries) -> int:
 def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
     """Run every configured method on every problem.
 
-    Problem names must be unique (``ValueError`` otherwise). A failure of
-    one (problem, method) pair is logged and recorded without disturbing the
-    other rows; the rank table covers the problems on which every method
-    succeeded.
+    Each problem's estimation part is embedded once, and every method's
+    plan runs over those rows. Problem names must be unique (``ValueError``
+    otherwise). A failure of one (problem, method) pair is logged and
+    recorded without disturbing the other rows; the rank table covers the
+    problems on which every method succeeded.
     """
     results: list[EstimationResult] = []
     failures: list[tuple[str, str, str]] = []
@@ -146,6 +147,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
             p = _choose_dimension(config, series)
             est, val = estimation_validation_split(series, config.estimation_fraction)
             L = true_loss(est, val, config.learner, p)
+            dataset = embed(est, p)
         except Exception as exc:  # noqa: BLE001 - isolate per problem
             logger.warning("problem %s failed: %s", problem_id, exc)
             failures.extend((problem_id, m, str(exc)) for m in config.methods)
@@ -154,10 +156,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
             seed = derive_seed(config.base_seed, problem_id, method)
             try:
                 outcome = estimate_loss(
-                    est,
+                    dataset,
                     method,
                     config.learner,
-                    p,
                     K=config.K,
                     nreps=config.nreps,
                     seed=seed,

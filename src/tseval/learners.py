@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embedding import _row_chunks, squared_distances
+
 __all__ = [
     "LearnerSpec",
     "LassoModel",
@@ -36,6 +38,8 @@ __all__ = [
     "fit",
     "fit_lasso_folds",
     "predict",
+    "check_knn_rows",
+    "knn_average",
     "lambda_max",
     "kkt_violation",
 ]
@@ -408,13 +412,32 @@ def fit(spec: LearnerSpec, predictors, targets) -> LassoModel | KnnModel:
     """Train a learner; see :class:`LearnerSpec` for the configuration."""
     X, y = _validate_xy(predictors, targets)
     if spec.kind == "knn":
-        if X.shape[0] < spec.k:
-            raise ValueError(
-                f"knn with k={spec.k} needs at least {spec.k} training rows, "
-                f"got {X.shape[0]}"
-            )
+        check_knn_rows(spec.k, X.shape[0])
         return KnnModel(X.copy(), y.copy(), spec.k)
     return _fit_lasso(spec, X, y)
+
+
+def check_knn_rows(k: int, rows: int) -> None:
+    """Refuse a k-NN training set of fewer than k rows."""
+    if rows < k:
+        raise ValueError(f"knn with k={k} needs at least {k} training rows, got {rows}")
+
+
+def knn_average(dist: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
+    """Mean of ``targets`` over the k smallest entries of each row of
+    ``dist``, taken in the order of a stable argsort of the row: ascending
+    distance, ties to the lowest column, NaN entries last.
+
+    ``argpartition`` finds the k-th smallest distance. A row with exactly k
+    entries at or below it keeps those k, sorted by column and then stably by
+    distance; a row tied at the k-th distance is sorted whole.
+    """
+    nearest = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
+    near = np.take_along_axis(dist, nearest, axis=1)
+    nearest = np.take_along_axis(nearest, np.argsort(near, axis=1, kind="stable"), axis=1)
+    tied = np.count_nonzero(dist <= near.max(axis=1)[:, None], axis=1) != k
+    nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
+    return targets[nearest].mean(axis=1)
 
 
 def predict(model: LassoModel | KnnModel, predictors) -> np.ndarray:
@@ -424,10 +447,11 @@ def predict(model: LassoModel | KnnModel, predictors) -> np.ndarray:
         raise ValueError(f"model expects {model.p} predictors, got {X.shape[1]}")
     if isinstance(model, LassoModel):
         return X @ model.coefficients + model.intercept
-    diff = X[:, None, :] - model.predictors[None, :, :]
-    dist = np.einsum("mnp,mnp->mn", diff, diff)
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, : model.k]
-    return model.targets[nearest].mean(axis=1)
+    out = np.empty(X.shape[0])
+    for rows in _row_chunks(X.shape[0], model.targets.size):
+        dist = squared_distances(X[rows], model.predictors)
+        out[rows] = knn_average(dist, model.targets, model.k)
+    return out
 
 
 def kkt_violation(model: LassoModel, predictors, targets) -> float:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tseval import TimeSeries, embed, estimate_embedding_dimension, fnn_fractions
+from tseval import TimeSeries, embed, embedding, estimate_embedding_dimension, fnn_fractions
 
 
 def brute_fnn_fraction(y, d, r_tol=10.0, a_tol=2.0):
@@ -158,3 +160,53 @@ def test_fnn_ar3_distribution_frozen():
             d = estimate_embedding_dimension(series, d_max=10)
             counts[d] = counts.get(d, 0) + 1
     assert counts == {3: 3, 4: 10, 5: 1, 10: 86}
+
+
+@pytest.mark.parametrize("tolerance", [0.01, 0.05, 0.2])
+def test_fnn_early_stop_picks_the_first_qualifying_dimension(tolerance):
+    rng = np.random.default_rng(21)
+    i = np.arange(500)
+    for y in (np.sin(2 * np.pi * i / 20.0) + 0.05 * rng.normal(size=500),
+              50.0 + np.cumsum(2.0 + rng.normal(size=500)),
+              10.0 + 0.01 * i + 3.0 * np.sin(2 * np.pi * i / 12.0) + rng.normal(size=500)):
+        s = TimeSeries(y)
+        qualifying = np.flatnonzero(fnn_fractions(s, 12) <= tolerance)
+        if qualifying.size:
+            assert estimate_embedding_dimension(s, 12, tolerance) == qualifying[0] + 1
+        else:
+            with pytest.warns(UserWarning, match="d_max"):
+                assert estimate_embedding_dimension(s, 12, tolerance) == 12
+
+
+def test_fnn_fallback_still_warns_after_every_dimension():
+    s = TimeSeries(np.random.default_rng(3).normal(size=80))
+    assert np.all(fnn_fractions(s, 3) > 0.01)
+    with pytest.warns(UserWarning, match="d_max=3"):
+        assert estimate_embedding_dimension(s, d_max=3) == 3
+
+
+def test_fnn_matches_brute_force_over_several_row_chunks():
+    y = np.round(50.0 + np.cumsum(np.random.default_rng(22).normal(size=400)), 1)
+    assert (len(y) - 1) ** 2 > embedding._CHUNK  # each step takes two row chunks
+    lib = fnn_fractions(TimeSeries(y), 3)
+    assert lib.tolist() == [brute_fnn_fraction(y.tolist(), d) for d in (1, 2, 3)]
+
+
+def test_fnn_memory_is_one_running_sum_matrix():
+    t = 2000
+    s = TimeSeries(np.random.default_rng(23).normal(size=t))
+    tracemalloc.start()
+    try:
+        fnn_fractions(s, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * (t - 1) ** 2
+
+
+def test_knn_distances_are_read_only_and_computed_once():
+    ds = embed(TimeSeries(np.random.default_rng(24).normal(size=300)), 4)
+    D = ds.knn_distances
+    assert ds.knn_distances is D and not D.flags.writeable
+    diff = ds.predictors[:, None, :] - ds.predictors[None, :, :]
+    assert D.tobytes() == np.einsum("mnp,mnp->mn", diff, diff).tobytes()

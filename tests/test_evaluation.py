@@ -118,16 +118,15 @@ def linear_series(n=40):
 
 
 def test_estimate_loss_zero_on_perfectly_learnable_series():
-    out = estimate_loss(linear_series(), "Holdout", LearnerSpec(lam=0.0, tol=1e-12), p=3)
+    out = estimate_loss(embed(linear_series(), 3), "Holdout", LearnerSpec(lam=0.0, tol=1e-12))
     assert out.estimate == pytest.approx(0.0, abs=1e-8)
 
 
 def test_estimate_loss_single_iteration_equals_fold_loss():
     out = estimate_loss(
-        TimeSeries(np.random.default_rng(0).normal(size=30)),
+        embed(TimeSeries(np.random.default_rng(0).normal(size=30)), 2),
         "Holdout",
         LearnerSpec(),
-        p=2,
     )
     assert len(out.fold_losses) == 1
     assert out.estimate == out.fold_losses[0]
@@ -163,7 +162,7 @@ FIXTURE_13 = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0, 5.0, 8.0, 9.0]
 def test_two_fold_knn_matches_hand_oracle():
     series = TimeSeries(FIXTURE_13)
     expected, fold_rmses = knn_two_fold_oracle(FIXTURE_13, p=5)
-    out = estimate_loss(series, "CV-Bl", LearnerSpec(kind="knn", k=1), p=5, K=2)
+    out = estimate_loss(embed(series, 5), "CV-Bl", LearnerSpec(kind="knn", k=1), K=2)
     assert len(out.fold_losses) == 2
     assert out.fold_losses == pytest.approx(fold_rmses, abs=1e-12)
     assert out.estimate == pytest.approx(expected, abs=1e-12)

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,9 +8,12 @@ import pytest
 from tseval import (
     METHODS,
     DGPSpec,
+    EmbeddedDataset,
     EmptyTrainingSetError,
+    Iteration,
     LassoModel,
     LearnerSpec,
+    ResamplingPlan,
     TimeSeries,
     build_plan,
     embed,
@@ -370,3 +375,133 @@ def test_collinear_candidate_columns_leave_the_fold_to_the_path(equal_rows_first
         assert X[train] @ folds.coefficients[i] + folds.intercepts[i] == pytest.approx(
             predict(model, X[train]), rel=1e-9
         )
+
+
+# --- the batched k-NN of run_plan against a per-fold fit/predict loop ---
+
+
+def whole_row_knn_predict(model, X):
+    """k-NN predict from one m x n x p difference tensor and a stable sort of
+    every whole row of distances."""
+    diff = X[:, None, :] - model.predictors[None, :, :]
+    dist = np.einsum("mnp,mnp->mn", diff, diff)
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, : model.k]
+    return model.targets[nearest].mean(axis=1)
+
+
+def per_fold_knn(plan, ds, spec):
+    """run_plan's estimate and fold losses, from one fit and whole-row
+    predict per fold and the same aggregation, so equal outputs mean equal
+    predictions."""
+    X, y = ds.predictors, ds.targets
+    predictions = np.concatenate([
+        whole_row_knn_predict(fit(spec, X[it.train], y[it.train]), X[it.test])
+        for it in plan.iterations
+    ])
+    tests = np.concatenate([it.test for it in plan.iterations])
+    bounds = np.cumsum([0] + [it.test.size for it in plan.iterations])
+    squares = (predictions - y[tests]) ** 2
+    folds = np.sqrt([squares[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
+    if plan.method in ("Preq-Grow", "Preq-Slide"):
+        return float(np.sqrt(sum(squares.tolist()) / squares.size)), tuple(folds.tolist())
+    return float(np.mean(folds)), tuple(folds.tolist())
+
+
+def assert_knn_plans_exact(ds, k):
+    spec = LearnerSpec(kind="knn", k=k)
+    for plan in _plans(ds, ds.p):
+        got = run_plan(plan, ds, spec)
+        estimate, folds = per_fold_knn(plan, ds, spec)
+        assert got.estimate == estimate, plan.method
+        assert got.fold_losses == folds, plan.method
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("p", [1, 2, 5, 30])
+@pytest.mark.parametrize("kind", ["walk", "trend", "s1", "s2", "s3"])
+def test_run_plan_knn_equals_per_fold_fits(kind, p, k):
+    values = SERIES[kind](np.random.default_rng([p, k, len(kind)]), 200 if p < 30 else 400)
+    assert_knn_plans_exact(embed(TimeSeries(values), p), k)
+
+
+def _tied_at_kth(ds, k):
+    """Whether some row's k-th and (k+1)-th nearest other rows are equally far."""
+    D = ds.knn_distances.copy()
+    np.fill_diagonal(D, np.inf)
+    ordered = np.sort(D, axis=1)
+    return bool(np.any(ordered[:, k - 1] == ordered[:, k]))
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("p", [1, 2])
+def test_run_plan_knn_ties_at_the_kth_neighbour(p, k):
+    # one decimal of normal draws puts many rows equally far apart
+    ds = embed(TimeSeries(np.round(np.random.default_rng(12).normal(size=200), 1)), p)
+    assert _tied_at_kth(ds, k)
+    assert_knn_plans_exact(ds, k)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_run_plan_knn_duplicated_rows(k):
+    pattern = np.random.default_rng(13).normal(size=17)
+    ds = embed(TimeSeries(np.tile(pattern, 12)), 3)
+    assert len(np.unique(ds.predictors, axis=0)) < ds.n
+    assert_knn_plans_exact(ds, k)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e160])
+@pytest.mark.parametrize("p", [2, 5])
+def test_run_plan_knn_overflowed_distances(p, scale):
+    # squared distances of predictors near 1e160 overflow to inf, and every
+    # row's neighbours are then its lowest-indexed training rows; targets of
+    # order 1 keep the losses finite, so they tell the neighbours apart
+    rng = np.random.default_rng(14)
+    n = 180
+    ds = EmbeddedDataset(scale * rng.normal(size=(n, p)), rng.normal(size=n), np.arange(n), p)
+    with np.errstate(over="ignore"):
+        assert np.isinf(ds.knn_distances).any()
+        for k in (1, 5):
+            assert_knn_plans_exact(ds, k)
+
+
+@pytest.mark.parametrize("values", ["normal", "rounded", "huge"])
+def test_knn_predict_equals_whole_row_sort(values):
+    # 300 rows against 1000 span three row chunks of predict
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(1300, 5))
+    if values == "rounded":
+        X = np.round(X)
+    elif values == "huge":
+        X *= 1e154
+    model = fit(LearnerSpec(kind="knn"), X[:1000], rng.normal(size=1000))
+    with np.errstate(over="ignore"):
+        assert predict(model, X[1000:]).tobytes() == whole_row_knn_predict(
+            model, X[1000:]).tobytes()
+
+
+def test_run_plan_knn_refuses_a_training_set_smaller_than_k():
+    ds = embed(TimeSeries(np.random.default_rng(15).normal(size=40)), 2)
+    spec = LearnerSpec(kind="knn", k=5)
+    trains = [np.arange(10), np.arange(3), np.arange(4)]
+    plan = ResamplingPlan("Preq-Bls", ds.n, tuple(
+        Iteration(train, np.arange(20 + 5 * i, 25 + 5 * i)) for i, train in enumerate(trains)
+    ))
+    with pytest.raises(ValueError) as expected:
+        for it in plan.iterations:
+            fit(spec, ds.predictors[it.train], ds.targets[it.train])
+    assert "got 3" in str(expected.value)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        run_plan(plan, ds, spec)
+
+
+def test_knn_predict_memory_is_bounded():
+    rng = np.random.default_rng(16)
+    model = fit(LearnerSpec(kind="knn"), rng.normal(size=(2000, 30)), rng.normal(size=2000))
+    X = rng.normal(size=(1000, 30))
+    tracemalloc.start()
+    try:
+        predict(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # the whole 1000 x 2000 x 30 difference is 480 MB
