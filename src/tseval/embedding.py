@@ -55,6 +55,8 @@ class EmbeddedDataset:
             raise ValueError(f"predictors must be n x {self.p}, got {X.shape}")
         if y.shape != (X.shape[0],) or tt.shape != (X.shape[0],):
             raise ValueError("targets/target_time must have one entry per row")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+            raise ValueError("predictors and targets must be finite")
         if X.shape[0] >= 2 and not np.all(np.diff(tt) > 0):
             raise ValueError("target_time must be strictly increasing")
         for arr, field in ((X, "predictors"), (y, "targets"), (tt, "target_time")):

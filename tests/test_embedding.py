@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tseval import TimeSeries, embed, embedding, estimate_embedding_dimension, fnn_fractions
+from tseval import (
+    EmbeddedDataset,
+    TimeSeries,
+    embed,
+    embedding,
+    estimate_embedding_dimension,
+    fnn_fractions,
+)
 
 
 def brute_fnn_fraction(y, d, r_tol=10.0, a_tol=2.0):
@@ -60,6 +67,16 @@ def test_embed_rejects_large_p():
         embed(TimeSeries([1.0, 2.0]), 2)
     with pytest.raises(ValueError):
         embed(TimeSeries([1.0, 2.0]), 0)
+
+
+def test_embedded_dataset_rejects_non_finite_values():
+    # run_plan's k-NN branch reads distances without a per-fold fit, so the
+    # dataset itself refuses what fit would refuse
+    X, y = np.ones((4, 2)), np.ones(4)
+    with pytest.raises(ValueError, match="finite"):
+        EmbeddedDataset(np.where(np.eye(4, 2), np.nan, X), y, np.arange(4), 2)
+    with pytest.raises(ValueError, match="finite"):
+        EmbeddedDataset(X, np.array([1.0, np.inf, 1.0, 1.0]), np.arange(4), 2)
 
 
 def test_embed_consecutive_rows_overlap():
