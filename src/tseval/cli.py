@@ -159,7 +159,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     bm.add_argument("--baseline", default="Rep-Holdout")
     bm.add_argument("--rope", type=float, default=2.5,
                     help="half-width of the practical-equivalence region, in percent")
-    bm.add_argument("--bayes-samples", type=int, default=100_000)
     bm.add_argument("--no-compare", action="store_true")
     bm.add_argument("--out", required=True, help="results CSV path")
     bm.add_argument("--ranks", help="optional rank-table CSV path")
@@ -174,10 +173,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     cp.add_argument("--results", required=True)
     cp.add_argument("--baseline", default="Rep-Holdout")
     cp.add_argument("--rope", type=float, default=2.5)
-    cp.add_argument("--samples", type=int, default=100_000)
     cp.add_argument("--prior-strength", type=float, default=1.0)
     cp.add_argument("--normalization", choices=("loss", "none"), default="loss")
-    cp.add_argument("--seed", type=int, default=1)
     cp.add_argument("--out", help="CSV path; stdout when omitted")
     registry["compare"] = cp
 
@@ -307,20 +304,16 @@ def _cmd_evaluate(args) -> int:
     return _finish_experiment(run_experiment(config), args)
 
 
-def _check_bayes_flags(
-    rope: float, samples: int, samples_flag: str, prior_strength: float = 1.0
-) -> None:
+def _check_bayes_flags(rope: float, prior_strength: float = 1.0) -> None:
     """Reject Bayes sign-test settings before any work is done."""
     if not rope > 0:
         raise ValueError(f"--rope must be positive, got {rope}")
-    if samples < 1:
-        raise ValueError(f"{samples_flag} must be >= 1, got {samples}")
     if not prior_strength >= 0:
         raise ValueError(f"--prior-strength must be non-negative, got {prior_strength}")
 
 
 def _cmd_benchmark(args) -> int:
-    _check_bayes_flags(args.rope, args.bayes_samples, "--bayes-samples")
+    _check_bayes_flags(args.rope)
     config = ExperimentConfig(
         dgp=args.dgp,
         trials=args.trials,
@@ -335,13 +328,7 @@ def _cmd_benchmark(args) -> int:
     outcome = run_experiment(config)
     comparisons = []
     if not args.no_compare and args.baseline in config.methods and outcome.results:
-        comparisons = compare_to_baseline(
-            outcome.results,
-            baseline=args.baseline,
-            rope=(-args.rope, args.rope),
-            samples=args.bayes_samples,
-            base_seed=args.seed,
-        )
+        comparisons = compare_to_baseline(outcome.results, args.baseline, (-args.rope, args.rope))
     code = _finish_experiment(outcome, args)
     if comparisons:
         sys.stdout.write(comparisons_csv(comparisons))
@@ -363,16 +350,10 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _check_bayes_flags(args.rope, args.samples, "--samples", args.prior_strength)
+    _check_bayes_flags(args.rope, args.prior_strength)
     results = read_results_csv(args.results)
     comparisons = compare_to_baseline(
-        results,
-        baseline=args.baseline,
-        rope=(-args.rope, args.rope),
-        samples=args.samples,
-        prior_strength=args.prior_strength,
-        base_seed=args.seed,
-        normalization=args.normalization,
+        results, args.baseline, (-args.rope, args.rope), args.prior_strength, args.normalization
     )
     _write(comparisons_csv(comparisons), args.out)
     return 0

@@ -10,6 +10,7 @@ scored on the held-out validation part.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,8 @@ def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimat
     k-NN reads every distance from the dataset's ``knn_distances`` matrix,
     computed once per dataset, and predicts the plan's test rows in row
     chunks: each row's columns outside its fold's training set are masked
-    with NaN, which sorts after every distance (an overflowed ``inf`` too),
-    and :func:`~tseval.learners.knn_average` picks the neighbours. The
+    with the dataset's ``knn_mask`` (``inf``, or NaN once a distance is
+    ``inf``), and :func:`~tseval.learners.knn_average` picks the neighbours. The
     predictions are those of ``fit`` and ``predict`` fold by fold, byte for
     byte, and a training set of fewer than k rows raises ``fit``'s error for
     the first such fold.
@@ -173,7 +174,7 @@ def _knn_predictions(k: int, dataset, iterations, tests, bounds) -> np.ndarray:
         member[np.repeat(np.arange(len(trains)), [t.size for t in trains]),
                np.concatenate(trains)] = True
         block = D[tests[rows]]
-        block[~member[fold[rows] - first]] = np.nan
+        block[~member[fold[rows] - first]] = dataset.knn_mask
         predictions[rows] = knn_average(block, dataset.targets, k)
     return predictions
 
@@ -270,38 +271,59 @@ class BayesSignResult:
     counts: tuple[int, int, int]
 
 
+def _negbin_pmf(shape: float, q: float, n: int) -> np.ndarray:
+    """NB(shape, q)_j for j < n (see :func:`bayes_sign_test`); NB(0, q) is 1 at j = 0."""
+    j = np.arange(1, n)
+    with np.errstate(divide="ignore"):
+        logs = np.concatenate(([0.0], np.cumsum(np.log(shape + j - 1) - np.log(j))))
+    return np.exp(logs[:n] + shape * math.log1p(-q) + np.arange(n) * math.log(q))
+
+
+def _p_largest(a: int, m: float, b: int) -> float:
+    """P(X_a > max(X_m, X_b)) for gammas of integer shapes a, b and shape m."""
+    t = np.cumsum(np.concatenate(([0.0], _negbin_pmf(m, 2 / 3, a + b - 1))))  # T_{i-1}
+    return float(_negbin_pmf(m, 1 / 2, a).sum() - _negbin_pmf(a, 1 / 2, b) @ t[a : a + b])
+
+
 def bayes_sign_test(
     differences,
     rope_low: float = -2.5,
     rope_high: float = 2.5,
-    samples: int = 100_000,
     prior_strength: float = 1.0,
-    rng: np.random.Generator | int | None = None,
 ) -> BayesSignResult:
     """Posterior probabilities that differences concentrate left of, inside,
-    or right of the practical-equivalence region.
+    or right of the practical-equivalence region (Benavoli et al. 2017).
 
-    Counts the differences per region, adds ``prior_strength`` pseudo-counts
-    to the region itself, and draws Dirichlet vectors; each probability is
-    the fraction of draws in which its component is the largest.
+    With region counts n_L, n_rope, n_R and M = n_rope + ``prior_strength``,
+    each probability is the exact chance that its share of a Dirichlet(n_L,
+    M, n_R) draw is the largest, that is, that its gamma X_L, X_M or X_R is
+    (a shape-0 gamma is 0). As P(X_n > x) = e^-x sum_{i<n} x^i / i! for an
+    integer n, with NB(s, q)_j = Gamma(s + j) / (Gamma(s) j!) (1 - q)^s q^j:
+    P(X_L > X_M) = sum_{j<n_L} NB(M, 1/2)_j, and P(X_M < X_L < X_R) =
+    sum_{k<n_R} NB(n_L, 1/2)_k P(Gamma(n_L + k) > 2 X_M), whose last factor
+    is T_{n_L+k-1}, T_i = sum_{j<=i} NB(M, 2/3)_j. P_left is the first minus
+    the second, P_right swaps L and R, and P_rope = 1 - P_left - P_right.
+
+    Rounding: a negative P_left or P_right becomes 0; if they sum to s > 1,
+    both are divided by s and P_rope is 0. So each lies in [0, 1], the three
+    sum to 1 within a few ulps, and swapping L and R swaps them exactly.
     """
     diffs = np.asarray(differences, dtype=float)
     if diffs.size < 1:
         raise ValueError("need at least one difference")
     if not rope_low < rope_high:
         raise ValueError("rope_low must be below rope_high")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if prior_strength < 0:
-        raise ValueError("prior_strength must be non-negative")
+    if not 0.0 <= prior_strength < math.inf:
+        raise ValueError("prior_strength must be finite and non-negative")
     counts = (
         int(np.count_nonzero(diffs < rope_low)),
         int(np.count_nonzero((diffs >= rope_low) & (diffs <= rope_high))),
         int(np.count_nonzero(diffs > rope_high)),
     )
-    alpha = np.array([counts[0], counts[1] + prior_strength, counts[2]], dtype=float)
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    draws = rng.gamma(shape=alpha, size=(samples, 3))
-    p = np.bincount(draws.argmax(axis=1), minlength=3) / samples
-    return BayesSignResult(float(p[0]), float(p[1]), float(p[2]), counts)
+    n_left, m, n_right = counts[0], counts[1] + prior_strength, counts[2]
+    left = max(_p_largest(n_left, m, n_right), 0.0)
+    right = max(_p_largest(n_right, m, n_left), 0.0)
+    both = left + right
+    if both > 1.0:
+        left, right, both = left / both, right / both, 1.0
+    return BayesSignResult(left, 1.0 - both, right, counts)

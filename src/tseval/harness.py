@@ -195,9 +195,7 @@ def compare_to_baseline(
     results,
     baseline: str = "Rep-Holdout",
     rope: tuple[float, float] = (-2.5, 2.5),
-    samples: int = 100_000,
     prior_strength: float = 1.0,
-    base_seed: int = 1,
     normalization: str = "loss",
 ) -> list[MethodComparison]:
     """Bayes sign test of every method against the baseline.
@@ -233,14 +231,7 @@ def compare_to_baseline(
             diffs.append(delta)
         if not diffs:
             continue
-        outcome = bayes_sign_test(
-            diffs,
-            rope_low=rope[0],
-            rope_high=rope[1],
-            samples=samples,
-            prior_strength=prior_strength,
-            rng=np.random.default_rng(derive_seed(base_seed, "bayes", method, baseline)),
-        )
+        outcome = bayes_sign_test(diffs, rope[0], rope[1], prior_strength)
         comparisons.append(MethodComparison(method, baseline, outcome))
     return comparisons
 

@@ -64,7 +64,7 @@ def test_benchmark_writes_results_and_ranks(tmp_path, capsys):
     ranks = tmp_path / "ranks.csv"
     code = run_cli(
         "benchmark", "--dgp", "s1", "--trials", "2", "--seed", "3",
-        "--out", str(out), "--ranks", str(ranks), "--bayes-samples", "2000",
+        "--out", str(out), "--ranks", str(ranks),
     )
     assert code == 0
     printed = capsys.readouterr().out
@@ -94,7 +94,7 @@ def test_evaluate_then_rank_and_compare(tmp_path, capsys):
     assert len(ranked) == 5
 
     assert run_cli("compare", "--results", str(out), "--baseline", "Rep-Holdout",
-                   "--rope", "2.5", "--samples", "2000") == 0
+                   "--rope", "2.5") == 0
     compared = capsys.readouterr().out.splitlines()
     assert compared[0] == "method,baseline,p_left,p_rope,p_right"
     assert len(compared) == 4
@@ -114,14 +114,14 @@ def test_every_written_file_has_newline_endings(tmp_path):
     sims = tmp_path / "sims"
     assert run_cli("simulate", "--dgp", "s2", "--trials", "2", "--length", "30",
                    "--out-dir", str(sims), "--long-csv", str(tmp_path / "long.csv")) == 0
-    assert run_cli("benchmark", "--dgp", "s1", "--trials", "2", "--bayes-samples", "500",
+    assert run_cli("benchmark", "--dgp", "s1", "--trials", "2",
                    "--out", str(tmp_path / "bench.csv"),
                    "--ranks", str(tmp_path / "bench-ranks.csv")) == 0
     results = tmp_path / "results.csv"
     assert run_cli("evaluate", *_two_walks(tmp_path), "--p", "3", "--out", str(results),
                    "--ranks", str(tmp_path / "ranks.csv")) == 0
     assert run_cli("rank", "--results", str(results), "--out", str(tmp_path / "rank.csv")) == 0
-    assert run_cli("compare", "--results", str(results), "--samples", "500",
+    assert run_cli("compare", "--results", str(results),
                    "--out", str(tmp_path / "compare.csv")) == 0
     assert run_cli("embed", "--csv", str(sims / "s2-0000.csv"), "--p", "2",
                    "--out", str(tmp_path / "rows.csv")) == 0
@@ -195,6 +195,7 @@ def test_evaluate_rejects_bad_fnn_settings(tmp_path, flags):
 
 @pytest.mark.parametrize("flags", [("--bayes-samples", "0"), ("--rope", "-1"), ("--rope", "0")])
 def test_benchmark_rejects_bad_bayes_flags_before_the_study(tmp_path, monkeypatch, flags):
+    # the Bayes probabilities are exact: --bayes-samples is an unknown flag now
     studies = []
     monkeypatch.setattr(tseval.cli, "run_experiment", studies.append)
     out = tmp_path / "r.csv"
@@ -206,12 +207,14 @@ def test_benchmark_rejects_bad_bayes_flags_before_the_study(tmp_path, monkeypatc
 @pytest.mark.parametrize(
     "flags", [("--samples", "0"), ("--rope", "-1"), ("--prior-strength", "-0.5")]
 )
-def test_compare_rejects_bad_bayes_flags_before_reading(tmp_path, caplog, flags):
+def test_compare_rejects_bad_bayes_flags_before_reading(tmp_path, caplog, capsys, flags):
+    # the Bayes probabilities are exact: --samples is an unknown flag now
     out = tmp_path / "cmp.csv"
     missing = tmp_path / "missing.csv"
     assert run_cli("compare", "--results", str(missing), "--out", str(out), *flags) == 1
     assert not out.exists()
-    assert flags[0] in caplog.text and "missing.csv" not in caplog.text
+    told = caplog.text + capsys.readouterr().err
+    assert flags[0] in told and "missing.csv" not in told
 
 
 def test_embed_subcommand(tmp_path, capsys):
@@ -298,7 +301,7 @@ def test_rank_and_compare_reject_repeated_rows(tmp_path, caplog):
     path = tmp_path / "results.csv"
     results_to_csv(rows, path)
     assert run_cli("rank", "--results", str(path)) == 1
-    assert run_cli("compare", "--results", str(path), "--samples", "500") == 1
+    assert run_cli("compare", "--results", str(path)) == 1
     message = "line 4 repeats problem 'a', method 'Holdout' (first on line 2)"
     assert caplog.text.count(message) == 2
 
@@ -353,7 +356,7 @@ def test_determinism_of_benchmark_command(tmp_path):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out_a, out_b):
         assert run_cli("benchmark", "--dgp", "s2", "--trials", "2", "--seed", "5",
-                       "--out", str(out), "--no-compare", "--bayes-samples", "1000") == 0
+                       "--out", str(out), "--no-compare") == 0
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
@@ -398,8 +401,11 @@ def test_config_file_drives_evaluate_and_benchmark(tmp_path, capsys):
     assert "method,mean_rank,sd_rank" in printed
     assert "p_left" not in printed
     bench.write_text(bench.read_text().replace("no-compare=true", "no_compare=off"))
-    assert run_cli("benchmark", "--config", str(bench), "--bayes-samples", "1000") == 0
+    assert run_cli("benchmark", "--config", str(bench)) == 0
     assert "p_left" in capsys.readouterr().out
+    # the Bayes probabilities are exact, so there is no sample count to set
+    bench.write_text(bench.read_text() + "bayes_samples=1000\n")
+    assert run_cli("benchmark", "--config", str(bench)) == 1
 
 
 def test_config_verbose_key_sets_the_flag(tmp_path):

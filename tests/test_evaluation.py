@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -233,38 +234,154 @@ def test_true_loss_matches_knn_hand_computation():
     assert got == pytest.approx(expected, abs=1e-12)
 
 
+def _diffs(n_left, n_rope, n_right):
+    return [-5.0] * n_left + [0.0] * n_rope + [5.0] * n_right
+
+
 def test_bayes_sign_test_symmetry():
-    diffs = [-5.0] * 20 + [5.0] * 20
-    result = bayes_sign_test(diffs, samples=100_000, rng=1)
-    assert abs(result.p_left - result.p_right) < 0.02
-    assert result.p_left + result.p_rope + result.p_right == pytest.approx(1.0, abs=1e-5)
+    result = bayes_sign_test(_diffs(20, 0, 20))
+    assert result.p_left == result.p_right
+    assert result.p_left + result.p_rope + result.p_right == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bayes_sign_test_all_left():
-    result = bayes_sign_test([-10.0] * 20, samples=100_000, rng=2)
+    result = bayes_sign_test([-10.0] * 20)
     assert result.p_left >= 0.99
     assert result.counts == (20, 0, 0)
 
 
 def test_bayes_sign_test_all_rope():
-    result = bayes_sign_test([0.5, -1.0, 2.0] * 7, samples=100_000, rng=3)
+    result = bayes_sign_test([0.5, -1.0, 2.0] * 7)
     assert result.p_rope >= 0.99
 
 
 def test_bayes_sign_test_permutation_invariant():
     rng_diffs = np.random.default_rng(4).normal(scale=5.0, size=30)
-    a = bayes_sign_test(rng_diffs, samples=20_000, rng=7)
-    b = bayes_sign_test(rng_diffs[::-1], samples=20_000, rng=7)
-    assert a == b
+    assert bayes_sign_test(rng_diffs) == bayes_sign_test(rng_diffs[::-1])
 
 
 def test_bayes_sign_test_validation():
     with pytest.raises(ValueError):
-        bayes_sign_test([], samples=10)
+        bayes_sign_test([])
     with pytest.raises(ValueError):
         bayes_sign_test([1.0], rope_low=2.0, rope_high=-2.0)
-    with pytest.raises(ValueError):
-        bayes_sign_test([1.0], prior_strength=-1.0)
+    for prior in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            bayes_sign_test([1.0], prior_strength=prior)
+
+
+def _quad_largest(shape, others):
+    """P(X_shape > every X_o) for independent unit-scale gammas, by
+    quadrature over X_shape's density; a shape-0 gamma is 0."""
+    integrate = pytest.importorskip("scipy.integrate")
+    special = pytest.importorskip("scipy.special")
+    if shape == 0:
+        return 0.0
+
+    def integrand(x):
+        density = math.exp((shape - 1) * math.log(x) - x - math.lgamma(shape))
+        return density * math.prod(special.gammainc(o, x) for o in others if o > 0)
+
+    end = shape + 40 * math.sqrt(shape) + 60
+    mode = [shape - 1] if shape > 1 else None
+    return integrate.quad(integrand, 0, end, points=mode, epsabs=1e-14, epsrel=1e-13,
+                          limit=500)[0]
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(15)
+    priors = (0.0, 0.5, 1.0, 2.3)
+    for case in range(240):
+        total = int(rng.integers(1, 501))
+        counts = rng.multinomial(total, rng.dirichlet([1.0, 1.0, 1.0]))
+        if case % 5 == 0:  # a zero count: left, rope or right in turn
+            counts[case // 5 % 3] = 0
+        yield tuple(int(c) for c in counts), priors[case % 4]
+
+
+def test_bayes_sign_test_matches_quad_oracle():
+    cases = [(c, prior) for c, prior in _oracle_cases() if sum(c) > 0]
+    assert len(cases) >= 200
+    assert all(any(c[i] == 0 for c, _ in cases) for i in range(3))
+    assert any(c[1] == 0 and prior == 0.0 for c, prior in cases)  # X_rope is 0
+    assert max(sum(c) for c, _ in cases) > 450
+    for (n_left, n_rope, n_right), prior in cases:
+        rope = n_rope + prior
+        result = bayes_sign_test(_diffs(n_left, n_rope, n_right), prior_strength=prior)
+        assert result.counts == (n_left, n_rope, n_right)
+        expected = (
+            _quad_largest(n_left, (rope, n_right)),
+            _quad_largest(rope, (n_left, n_right)),
+            _quad_largest(n_right, (n_left, rope)),
+        )
+        got = (result.p_left, result.p_rope, result.p_right)
+        assert got == pytest.approx(expected, abs=1e-10, rel=0), (n_left, n_rope, n_right, prior)
+
+
+def test_bayes_sign_test_prior_zero_without_rope_differences():
+    # X_rope is identically 0, so the rope never wins, and the left share is
+    # the largest iff Gamma(3) > Gamma(2): 1 - (1/8 + 3/16) = 11/16
+    result = bayes_sign_test(_diffs(3, 0, 2), prior_strength=0.0)
+    assert (result.p_left, result.p_rope, result.p_right) == pytest.approx(
+        (11 / 16, 0.0, 5 / 16), abs=1e-15)
+    assert bayes_sign_test(_diffs(4, 0, 0), prior_strength=0.0).p_left == 1.0
+    assert bayes_sign_test(_diffs(0, 0, 1), prior_strength=0.0).p_right == 1.0
+
+
+def test_bayes_sign_test_closed_cases():
+    for diffs, prior in ((_diffs(1, 1, 1), 0.0), (_diffs(1, 0, 1), 1.0)):
+        result = bayes_sign_test(diffs, prior_strength=prior)
+        assert (result.p_left, result.p_rope, result.p_right) == pytest.approx(
+            (1 / 3, 1 / 3, 1 / 3), abs=1e-15)
+    result = bayes_sign_test(_diffs(2, 0, 0), prior_strength=1.0)
+    assert (result.p_left, result.p_rope, result.p_right) == pytest.approx(
+        (0.75, 0.25, 0.0), abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 300), st.integers(0, 300), st.integers(0, 300),
+    st.sampled_from([0.0, 0.5, 1.0, 2.3]),
+)
+def test_bayes_sign_test_swapping_left_and_right_swaps_the_result(n_left, n_rope, n_right, prior):
+    if n_left + n_rope + n_right == 0:
+        return
+    a = bayes_sign_test(_diffs(n_left, n_rope, n_right), prior_strength=prior)
+    b = bayes_sign_test(_diffs(n_right, n_rope, n_left), prior_strength=prior)
+    assert (a.p_left, a.p_rope, a.p_right) == (b.p_right, b.p_rope, b.p_left)
+
+
+@pytest.mark.parametrize(
+    "counts, prior", [((20, 5, 3), 1.0), ((55, 1, 54), 0.5), ((3, 2, 4), 1.0), ((10, 0, 12), 2.3)]
+)
+def test_bayes_sign_test_agrees_with_monte_carlo(counts, prior):
+    result = bayes_sign_test(_diffs(*counts), prior_strength=prior)
+    draws = np.random.default_rng(sum(counts)).gamma(
+        [counts[0], counts[1] + prior, counts[2]], size=(1_000_000, 3))
+    sampled = np.bincount(draws.argmax(axis=1), minlength=3) / draws.shape[0]
+    exact = np.array([result.p_left, result.p_rope, result.p_right])
+    standard_error = np.sqrt(exact * (1.0 - exact) / draws.shape[0])
+    assert np.all(np.abs(sampled - exact) <= 5.0 * standard_error + 1e-12)
+
+
+def test_bayes_sign_test_is_fast_and_bounded_on_many_differences():
+    rng = np.random.default_rng(16)
+    for diffs in (rng.normal(scale=3.0, size=10_000), rng.normal(scale=30.0, size=10_000),
+                  _diffs(5000, 3000, 5000), _diffs(3000, 10, 2990)):
+        start = time.perf_counter()
+        result = bayes_sign_test(diffs)
+        assert time.perf_counter() - start < 0.1
+        probs = (result.p_left, result.p_rope, result.p_right)
+        assert all(0.0 <= q <= 1.0 for q in probs)
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bayes_sign_test_rounding_rule():
+    # without the rule, 1 - P_left - P_right is about -7e-12 here: the sums
+    # lose ~1e-11 to rounding at these counts, where the true P_rope is ~0
+    result = bayes_sign_test(_diffs(5000, 3000, 5000))
+    assert result.p_rope == 0.0
+    assert result.p_left == result.p_right == 0.5
 
 
 @settings(max_examples=200, deadline=None)

@@ -438,6 +438,7 @@ def test_run_plan_knn_ties_at_the_kth_neighbour(p, k):
     # one decimal of normal draws puts many rows equally far apart
     ds = embed(TimeSeries(np.round(np.random.default_rng(12).normal(size=200), 1)), p)
     assert _tied_at_kth(ds, k)
+    assert ds.knn_mask == np.inf
     assert_knn_plans_exact(ds, k)
 
 
@@ -460,6 +461,7 @@ def test_run_plan_knn_overflowed_distances(p, scale):
     ds = EmbeddedDataset(scale * rng.normal(size=(n, p)), rng.normal(size=n), np.arange(n), p)
     with np.errstate(over="ignore"):
         assert np.isinf(ds.knn_distances).any()
+        assert np.isnan(ds.knn_mask)
         for k in (1, 5):
             assert_knn_plans_exact(ds, k)
 
