@@ -80,7 +80,7 @@ class EmbeddedDataset:
     def knn_mask(self) -> float:
         """Masks a column out of a k-NN search: ``inf`` (``argpartition`` is
         2-3x slower on NaN), or NaN, which sorts after an overflowed ``inf``."""
-        return np.inf if np.isfinite(self.knn_distances).all() else np.nan
+        return np.inf if self.knn_distances.max() < np.inf else np.nan
 
 
 # entries of the temporaries that one row chunk may hold (1 MiB of floats)

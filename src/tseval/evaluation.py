@@ -323,7 +323,5 @@ def bayes_sign_test(
     n_left, m, n_right = counts[0], counts[1] + prior_strength, counts[2]
     left = max(_p_largest(n_left, m, n_right), 0.0)
     right = max(_p_largest(n_right, m, n_left), 0.0)
-    both = left + right
-    if both > 1.0:
-        left, right, both = left / both, right / both, 1.0
-    return BayesSignResult(left, 1.0 - both, right, counts)
+    scale = max(left + right, 1.0)
+    return BayesSignResult(left / scale, 1.0 - (left + right) / scale, right / scale, counts)

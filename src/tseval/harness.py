@@ -171,6 +171,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
                 EstimationResult.from_losses(problem_id, method, outcome.estimate, L)
             )
         logger.info("finished problem %s (p=%d)", problem_id, p)
+        del dataset  # and its k-NN distances, before the next problem's FNN
     table = results_rank_table(results, config.methods)
     return ExperimentOutcome(tuple(results), table, tuple(failures))
 
