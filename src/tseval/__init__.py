@@ -8,10 +8,7 @@ Carlo harness that scores the estimators against ground-truth losses.
 
 from .embedding import EmbeddedDataset, embed, estimate_embedding_dimension, fnn_fractions
 from .evaluation import (
-    BayesSignResult,
     EstimationResult,
-    LossEstimate,
-    RankTable,
     apae,
     average_ranks,
     bayes_sign_test,
@@ -24,16 +21,12 @@ from .evaluation import (
 )
 from .harness import (
     ExperimentConfig,
-    ExperimentOutcome,
-    MethodComparison,
     compare_to_baseline,
     read_results_csv,
     results_to_csv,
     run_experiment,
 )
 from .learners import (
-    KnnModel,
-    LassoFolds,
     LassoModel,
     LearnerSpec,
     fit,
@@ -71,15 +64,12 @@ from .splitters import (
 )
 from .stationarity import (
     KPSS_CRITICAL_5PCT,
-    Rejection,
-    WaveletTestResult,
     kpss_statistic,
     ndiffs,
     wavelet_stationarity_test,
 )
 from .synthetic import (
     DGPSpec,
-    S3Coefficients,
     default_s3_coefficients,
     derive_seed,
     fit_seasonal_ar,
@@ -88,7 +78,6 @@ from .synthetic import (
     reference_deaths_series,
     roots_to_ar_coefficients,
     sample_roots,
-    simulate_ar,
     simulate_ma1,
     simulate_s1,
     simulate_s2,

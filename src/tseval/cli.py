@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -308,8 +309,8 @@ def _check_bayes_flags(rope: float, prior_strength: float = 1.0) -> None:
     """Reject Bayes sign-test settings before any work is done."""
     if not rope > 0:
         raise ValueError(f"--rope must be positive, got {rope}")
-    if not prior_strength >= 0:
-        raise ValueError(f"--prior-strength must be non-negative, got {prior_strength}")
+    if not (prior_strength >= 0 and math.isfinite(prior_strength)):
+        raise ValueError(f"--prior-strength must be finite and non-negative, got {prior_strength}")
 
 
 def _cmd_benchmark(args) -> int:

@@ -234,9 +234,6 @@ class RankTable:
             for i in order
         ]
 
-    def mean_of(self, method: str) -> float:
-        return float(self.mean_rank[self.methods.index(method)])
-
 
 def _row_ranks(A: np.ndarray) -> np.ndarray:
     """1-based ranks within each row; a run of tied values shares the mean

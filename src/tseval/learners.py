@@ -53,30 +53,26 @@ class LearnerSpec:
     0.01 * lambda_max of the training fold, so the model is close to an
     ordinary least-squares fit without ever being ill-posed.
 
-    ``max_iter`` bounds the breakpoints (a coefficient joining or leaving the
-    active set) of the lasso path, and ``tol`` is the acceptance test: a fit
-    whose KKT residual (see :func:`kkt_violation`) exceeds 10 * tol, or whose
-    path needs more than ``max_iter`` breakpoints, warns with a
-    ``UserWarning``. Both are ignored by k-NN.
+    ``tol`` is the acceptance test: a fit whose KKT residual (see
+    :func:`kkt_violation`) exceeds 10 * tol, or whose path needs more than
+    ``MAX_ITER`` breakpoints (a coefficient joining or leaving the active
+    set), warns with a ``UserWarning``. k-NN ignores it.
     """
 
     kind: str = "lasso"
     lam: float | None = None
     k: int = 5
-    max_iter: int = 1000
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.kind not in ("lasso", "knn"):
             raise ValueError(f"unknown learner kind {self.kind!r}")
-        if self.lam is not None and self.lam < 0:
+        if self.lam is not None and not self.lam >= 0:
             raise ValueError("lam must be non-negative")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,13 +149,16 @@ def _kkt_residual(grad: np.ndarray, beta: np.ndarray, lam: float, live: np.ndarr
     return float(max(np.max(on, initial=0.0), np.max(off, initial=0.0)))
 
 
+# The lasso path warns when it needs more breakpoints than this.
+MAX_ITER = 1000
+
 # A column whose residual on the active columns keeps less than this share of
 # its squared norm is treated as a combination of them and never joins.
 _SPAN_TOL = 1e-10
 
 
 def _lasso_path(
-    G: np.ndarray, c: np.ndarray, lam: float, live: np.ndarray, max_steps: int
+    G: np.ndarray, c: np.ndarray, lam: float, live: np.ndarray
 ) -> tuple[np.ndarray, bool]:
     """Minimise 0.5 b'Gb - c'b + lam |b|_1 by following the lasso path from
     lambda_max down to ``lam`` (homotopy / LARS-lasso; Osborne, Presnell and
@@ -172,7 +171,7 @@ def _lasso_path(
     A live column that is (numerically) a combination of the active ones
     never joins, so G_AA stays non-singular; its gradient then follows the
     active ones. Returns the coefficients and whether ``lam`` was reached
-    within ``max_steps`` breakpoints.
+    within ``MAX_ITER`` breakpoints.
     """
     beta = np.zeros(c.size)
     magnitude = np.where(live, np.abs(c), 0.0)
@@ -186,7 +185,7 @@ def _lasso_path(
     rows[first, 1] = np.sign(c[first])
     joined, dropped, dropped_sign = first, -1, 0.0
     diag = G.diagonal()
-    for _ in range(max_steps):
+    for _ in range(MAX_ITER):
         A = np.array(active, dtype=int)
         rhs = rows[A]
         GA = rhs[:, 2:]
@@ -237,11 +236,10 @@ def _path_solution(
     spec: LearnerSpec, G: np.ndarray, c: np.ndarray, lam: float, live: np.ndarray
 ) -> np.ndarray:
     """The path's solution; warns when it misses ``spec``'s acceptance test."""
-    beta, reached = _lasso_path(G, c, lam, live, spec.max_iter)
+    beta, reached = _lasso_path(G, c, lam, live)
     if not reached or _kkt_residual(c - G @ beta, beta, lam, live) > 10.0 * spec.tol:
         warnings.warn(
-            f"lasso path did not meet tol={spec.tol:g} within "
-            f"max_iter={spec.max_iter} steps",
+            f"lasso path did not meet tol={spec.tol:g} within max_iter={MAX_ITER} steps",
             stacklevel=4,
         )
     return beta

@@ -41,9 +41,9 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def slice(self, start: int, stop: int, name: str | None = None) -> "TimeSeries":
+    def slice(self, start: int, stop: int) -> "TimeSeries":
         """Contiguous sub-series over ``[start, stop)``."""
-        return TimeSeries(self.values[start:stop], name or self.name)
+        return TimeSeries(self.values[start:stop], self.name)
 
 
 def load_csv(path, column: str | int = 0, name: str | None = None) -> TimeSeries:
@@ -97,11 +97,11 @@ def load_csv(path, column: str | int = 0, name: str | None = None) -> TimeSeries
     return TimeSeries(np.asarray(values), name=name or path.stem)
 
 
-def write_csv(series: TimeSeries, path, header: str = "y") -> None:
-    """Write a series as one observation per row, with a header row."""
+def write_csv(series: TimeSeries, path) -> None:
+    """Write a series as one observation per row, under a ``y`` header row."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([header])
+        writer.writerow(["y"])
         for v in series.values:
             writer.writerow([repr(float(v))])
 

@@ -1,5 +1,9 @@
 """Differencing-order selection (KPSS) and a wavelet-spectrum stationarity test.
 
+The differencing order comes from the trend variant of the KPSS test
+(Kwiatkowski et al. 1992): residuals from a regression on an intercept and a
+linear trend, compared with the 5% critical value 0.146, as in ``ndiffs``.
+
 The wavelet test screens a series for second-order non-stationarity:
 
 1. truncate to the most recent power-of-two window,
@@ -49,15 +53,15 @@ __all__ = [
     "wavelet_stationarity_test",
 ]
 
-# standard 5% critical values: level and trend variants
-KPSS_CRITICAL_5PCT = {"level": 0.463, "trend": 0.146}
+# standard 5% critical value of the trend variant
+KPSS_CRITICAL_5PCT = 0.146
 
 _MAD_TO_SD = 1.4826022185056018  # 1 / Phi^{-1}(3/4)
 
 
-def kpss_statistic(series: TimeSeries, trend: bool = False) -> float:
+def kpss_statistic(series: TimeSeries) -> float:
     """KPSS statistic: normalized partial sums of residuals from a regression
-    on an intercept (level) or intercept plus linear trend.
+    on an intercept plus linear trend.
 
     The long-run variance uses a Bartlett window with bandwidth
     floor(4 * (n/100)^(1/4)). Identically-zero residuals give 0.
@@ -66,12 +70,9 @@ def kpss_statistic(series: TimeSeries, trend: bool = False) -> float:
     n = y.size
     if n < 10:
         raise ValueError(f"KPSS needs at least 10 observations, got {n}")
-    if trend:
-        X = np.column_stack([np.ones(n), np.arange(1.0, n + 1.0)])
-        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-        resid = y - X @ beta
-    else:
-        resid = y - y.mean()
+    X = np.column_stack([np.ones(n), np.arange(1.0, n + 1.0)])
+    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    resid = y - X @ beta
     # residuals that are pure rounding noise count as identically zero
     if float(np.sqrt(np.mean(resid**2))) <= 1e-10 * max(1.0, float(np.abs(y).max())):
         return 0.0
@@ -93,9 +94,8 @@ def ndiffs(series: TimeSeries, max_d: int = 2) -> int:
         raise ValueError("max_d must be 0, 1 or 2")
     if len(series) - max_d < 10:
         raise ValueError(f"series too short to difference {max_d} times and test")
-    critical = KPSS_CRITICAL_5PCT["trend"]
     for d in range(max_d + 1):
-        if kpss_statistic(difference(series, d), trend=True) <= critical:
+        if kpss_statistic(difference(series, d)) <= KPSS_CRITICAL_5PCT:
             return d
     return max_d
 

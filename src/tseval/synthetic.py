@@ -4,11 +4,15 @@ Three stationary generators:
 
 * S1: auto-regressive process of order 3,
 * S2: invertible moving-average process of order 1,
-* S3: seasonal auto-regressive process (lag 12, one seasonal term).
+* S3: seasonal auto-regressive process y_t = c + Phi y_{t-12} + e_t.
 
 S1/S2 draw real characteristic roots uniformly from
 [-r, -1.1] + [1.1, r], which keeps them stable/invertible by
-construction. Every generated series is shifted to a minimum of exactly 1.
+construction. S3's intercept c and seasonal coefficient Phi are fixed: they
+are the least-squares fit of that model to the bundled monthly US
+accidental-deaths series (:func:`default_s3_coefficients`), and |Phi| < 1
+keeps the process stable. Every generated series is shifted to a minimum of
+exactly 1.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .series import TimeSeries, load_csv
 
 __all__ = [
     "DGPSpec",
-    "S3Coefficients",
     "sample_roots",
     "roots_to_ar_coefficients",
     "simulate_ar",
@@ -42,30 +45,7 @@ __all__ = [
 ]
 
 DGP_KINDS = ("s1", "s2", "s3")
-
-
-@dataclass(frozen=True)
-class S3Coefficients:
-    """Additive seasonal AR parameters: y_t = c + seasonal*y_{t-period}
-    + sum_i nonseasonal_i * y_{t-i} + e_t."""
-
-    intercept: float
-    seasonal: float
-    nonseasonal: tuple[float, ...] = ()
-    period: int = 12
-
-    def char_polynomial(self) -> np.ndarray:
-        """Coefficients of 1 - phi_1 z - ... - Phi z^period (ascending powers)."""
-        coeffs = np.zeros(self.period + 1)
-        coeffs[0] = 1.0
-        for i, phi in enumerate(self.nonseasonal, start=1):
-            coeffs[i] -= phi
-        coeffs[self.period] -= self.seasonal
-        return coeffs
-
-    def is_stable(self) -> bool:
-        roots = np.roots(self.char_polynomial()[::-1])
-        return bool(np.all(np.abs(roots) > 1.0))
+SEASONAL_PERIOD = 12
 
 
 @dataclass(frozen=True)
@@ -75,7 +55,6 @@ class DGPSpec:
     length: int = 200
     burn_in: int = 200
     innovation_sd: float = 1.0
-    s3_coefficients: S3Coefficients | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in DGP_KINDS:
@@ -180,16 +159,10 @@ def simulate_s2(spec: DGPSpec, rng: np.random.Generator) -> TimeSeries:
 
 
 def simulate_s3(spec: DGPSpec, rng: np.random.Generator) -> TimeSeries:
-    coeffs = spec.s3_coefficients or default_s3_coefficients()
-    if not coeffs.is_stable():
-        raise ValueError("seasonal AR coefficient set is unstable")
-    phi = np.zeros(coeffs.period)
-    for i, value in enumerate(coeffs.nonseasonal, start=1):
-        phi[i - 1] = value
-    phi[coeffs.period - 1] = coeffs.seasonal
-    y = simulate_ar(
-        phi, spec.length, rng, spec.burn_in, spec.innovation_sd, coeffs.intercept
-    )
+    intercept, seasonal = default_s3_coefficients()
+    phi = np.zeros(SEASONAL_PERIOD)
+    phi[-1] = seasonal
+    y = simulate_ar(phi, spec.length, rng, spec.burn_in, spec.innovation_sd, intercept)
     return positivize(TimeSeries(y, name="s3"))
 
 
@@ -200,27 +173,16 @@ def simulate(spec: DGPSpec, rng: np.random.Generator) -> TimeSeries:
     return _SIMULATORS[spec.kind](spec, rng)
 
 
-def fit_seasonal_ar(series: TimeSeries, period: int = 12, seasonal_order: int = 1) -> np.ndarray:
-    """Least-squares fit of y_t on an intercept and y_{t-period*k}, k=1..order.
-
-    Returns (intercept, Phi_1, ..., Phi_order).
-    """
-    if period < 1 or seasonal_order < 1:
-        raise ValueError("period and seasonal_order must be >= 1")
+def fit_seasonal_ar(series: TimeSeries) -> np.ndarray:
+    """Least-squares fit of y_t = c + Phi y_{t-12}; returns (c, Phi)."""
     t = len(series)
-    lag_span = period * seasonal_order
-    if t <= lag_span + 1:
-        raise ValueError(
-            f"series length {t} too short for period {period} x order {seasonal_order}"
-        )
-    y = series.values[lag_span:]
-    columns = [np.ones(t - lag_span)]
-    for k in range(1, seasonal_order + 1):
-        columns.append(series.values[lag_span - k * period : t - k * period])
-    X = np.column_stack(columns)
+    if t <= SEASONAL_PERIOD + 1:
+        raise ValueError(f"series length {t} too short for a lag-{SEASONAL_PERIOD} fit")
+    y = series.values[SEASONAL_PERIOD:]
+    X = np.column_stack([np.ones(t - SEASONAL_PERIOD), series.values[: t - SEASONAL_PERIOD]])
     coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < X.shape[1]:
-        raise ValueError("singular design: seasonal lags are collinear")
+        raise ValueError("singular design: the seasonal lag is constant")
     return coef
 
 
@@ -233,9 +195,12 @@ def reference_deaths_series() -> TimeSeries:
 
 
 @lru_cache(maxsize=1)
-def default_s3_coefficients() -> S3Coefficients:
-    coef = fit_seasonal_ar(reference_deaths_series(), period=12, seasonal_order=1)
-    return S3Coefficients(intercept=float(coef[0]), seasonal=float(coef[1]))
+def default_s3_coefficients() -> tuple[float, float]:
+    """S3's (intercept, seasonal coefficient), fitted to the bundled series."""
+    intercept, seasonal = map(float, fit_seasonal_ar(reference_deaths_series()))
+    if not abs(seasonal) < 1.0:
+        raise ValueError(f"seasonal AR coefficient {seasonal} is unstable")
+    return intercept, seasonal
 
 
 def derive_seed(base_seed: int, *parts) -> int:

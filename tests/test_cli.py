@@ -205,7 +205,9 @@ def test_benchmark_rejects_bad_bayes_flags_before_the_study(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "flags", [("--samples", "0"), ("--rope", "-1"), ("--prior-strength", "-0.5")]
+    "flags",
+    [("--samples", "0"), ("--rope", "-1"), ("--prior-strength", "-0.5"),
+     ("--prior-strength", "inf")],
 )
 def test_compare_rejects_bad_bayes_flags_before_reading(tmp_path, caplog, capsys, flags):
     # the Bayes probabilities are exact: --samples is an unknown flag now
@@ -215,6 +217,36 @@ def test_compare_rejects_bad_bayes_flags_before_reading(tmp_path, caplog, capsys
     assert not out.exists()
     told = caplog.text + capsys.readouterr().err
     assert flags[0] in told and "missing.csv" not in told
+
+
+def test_compare_rejects_infinite_prior_strength_before_reading(
+    tmp_path, monkeypatch, caplog, capsys
+):
+    results = tmp_path / "results.csv"
+    rows = [EstimationResult.from_losses(problem, method, 1.0 + 0.1 * i, 1.0)
+            for problem in ("a", "b") for i, method in enumerate(("Holdout", "Rep-Holdout"))]
+    results_to_csv(rows, results)
+    reads = []
+    monkeypatch.setattr(tseval.cli, "read_results_csv", reads.append)
+    out = tmp_path / "cmp.csv"
+    code = run_cli("compare", "--results", str(results), "--prior-strength", "inf",
+                   "--out", str(out))
+    assert code == 1
+    assert not reads
+    assert not out.exists()
+    assert "--prior-strength" in caplog.text + capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["benchmark", "evaluate"])
+def test_nan_penalty_is_rejected_before_the_study(tmp_path, monkeypatch, caplog, command):
+    studies = []
+    monkeypatch.setattr(tseval.cli, "run_experiment", studies.append)
+    out = tmp_path / "r.csv"
+    inputs = ["--dgp", "s1", "--trials", "2"] if command == "benchmark" else _two_walks(tmp_path)
+    assert run_cli(command, *inputs, "--lam", "nan", "--out", str(out)) == 1
+    assert not studies
+    assert not out.exists()
+    assert "lam must be non-negative" in caplog.text
 
 
 def test_embed_subcommand(tmp_path, capsys):

@@ -126,7 +126,7 @@ def test_single_trial_rank_table_is_single_trial_ranks():
     order = sorted(by_method, key=by_method.get)
     table = outcome.rank_table
     for rank, method in enumerate(order, start=1):
-        assert table.mean_of(method) == rank
+        assert table.mean_rank[table.methods.index(method)] == rank
     assert np.all(table.sd_rank == 0.0)
 
 

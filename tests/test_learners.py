@@ -33,9 +33,13 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         LearnerSpec(lam=-0.1)
     with pytest.raises(ValueError):
+        LearnerSpec(lam=float("nan"))
+    with pytest.raises(ValueError):
         LearnerSpec(k=0)
     with pytest.raises(ValueError):
         LearnerSpec(tol=0.0)
+    with pytest.raises(ValueError):
+        LearnerSpec(tol=float("nan"))
 
 
 def test_exact_line_recovered():
@@ -60,7 +64,7 @@ def test_matches_least_squares_oracle():
     for _ in range(20):
         X = rng.normal(size=(50, 5))
         y = X @ rng.normal(size=5) + 2.0 + 0.3 * rng.normal(size=50)
-        model = fit(LearnerSpec(lam=0.0, tol=1e-10, max_iter=5000), X, y)
+        model = fit(LearnerSpec(lam=0.0, tol=1e-10), X, y)
         ref, *_ = np.linalg.lstsq(np.column_stack([np.ones(50), X]), y, rcond=None)
         assert model.intercept == pytest.approx(ref[0], abs=1e-6)
         assert model.coefficients == pytest.approx(ref[1:], abs=1e-6)
@@ -72,7 +76,7 @@ def test_kkt_residual_within_contract():
         X = rng.normal(size=(60, 8))
         y = X @ rng.normal(size=8) + rng.normal(size=60)
         lam = float(0.4 * lambda_max(X, y) * rng.random())
-        spec = LearnerSpec(lam=lam, tol=1e-8, max_iter=5000)
+        spec = LearnerSpec(lam=lam, tol=1e-8)
         model = fit(spec, X, y)
         assert kkt_violation(model, X, y) <= 10.0 * spec.tol
     # strongly correlated columns (corr(x_i, x_j) = rho^|i-j|, as for the lags
@@ -148,11 +152,11 @@ def test_prediction_invariant_to_affine_rescaling_at_zero_penalty():
     X = rng.normal(size=(50, 4))
     y = X @ rng.normal(size=4) + rng.normal(size=50)
     Xq = rng.normal(size=(8, 4))
-    base = predict(fit(LearnerSpec(lam=0.0, tol=1e-11, max_iter=8000), X, y), Xq)
+    base = predict(fit(LearnerSpec(lam=0.0, tol=1e-11), X, y), Xq)
     scale = np.array([3.0, 0.5, 10.0, 1.0])
     shift = np.array([-2.0, 5.0, 0.0, 100.0])
     rescaled = predict(
-        fit(LearnerSpec(lam=0.0, tol=1e-11, max_iter=8000), X * scale + shift, y),
+        fit(LearnerSpec(lam=0.0, tol=1e-11), X * scale + shift, y),
         Xq * scale + shift,
     )
     assert rescaled == pytest.approx(base, abs=1e-6)

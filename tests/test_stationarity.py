@@ -18,11 +18,10 @@ from tseval import (
 
 def test_kpss_constant_is_zero():
     assert kpss_statistic(TimeSeries(np.full(50, 2.0))) == 0.0
-    assert kpss_statistic(TimeSeries(np.full(50, 2.0)), trend=True) == 0.0
 
 
 def test_kpss_exact_trend_is_zero_under_trend_variant():
-    assert kpss_statistic(TimeSeries(3.0 + 0.5 * np.arange(100.0)), trend=True) == 0.0
+    assert kpss_statistic(TimeSeries(3.0 + 0.5 * np.arange(100.0))) == 0.0
 
 
 def test_kpss_too_short():
@@ -31,12 +30,12 @@ def test_kpss_too_short():
 
 
 def test_kpss_level_separates_walks_from_noise():
-    # coarse Monte Carlo check; the full 100-seed rates sit in the acceptance suite
+    # coarse Monte Carlo check of the trend variant, the only one ndiffs uses
     walks = noise = 0
     for seed in range(25):
         rng = np.random.default_rng(seed)
-        walks += kpss_statistic(TimeSeries(np.cumsum(rng.normal(size=1000)))) > KPSS_CRITICAL_5PCT["level"]
-        noise += kpss_statistic(TimeSeries(rng.normal(size=1000))) > KPSS_CRITICAL_5PCT["level"]
+        walks += kpss_statistic(TimeSeries(np.cumsum(rng.normal(size=1000)))) > KPSS_CRITICAL_5PCT
+        noise += kpss_statistic(TimeSeries(rng.normal(size=1000))) > KPSS_CRITICAL_5PCT
     assert walks >= 24
     assert noise <= 4
 
@@ -53,12 +52,11 @@ def test_ndiffs_basics():
 
 def test_ndiffs_monotone_rejection():
     # whenever d* > 0 is returned, the trend test must reject at every d < d*
-    critical = KPSS_CRITICAL_5PCT["trend"]
     for seed in range(20):
         series = TimeSeries(np.cumsum(np.random.default_rng(seed).normal(size=500)))
         d_star = ndiffs(series)
         for d in range(d_star):
-            assert kpss_statistic(difference(series, d), trend=True) > critical
+            assert kpss_statistic(difference(series, d)) > KPSS_CRITICAL_5PCT
 
 
 def test_wavelet_constant_series_is_stationary():

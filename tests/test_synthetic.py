@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tseval import (
     DGPSpec,
-    S3Coefficients,
     TimeSeries,
     default_s3_coefficients,
     fit_seasonal_ar,
@@ -133,9 +132,10 @@ def test_bundled_series_golden_coefficients():
     coef = fit_seasonal_ar(reference_deaths_series())
     assert coef[0] == pytest.approx(GOLDEN["intercept"], abs=1e-9)
     assert coef[1] == pytest.approx(GOLDEN["seasonal"], abs=1e-12)
-    defaults = default_s3_coefficients()
-    assert defaults.seasonal == pytest.approx(GOLDEN["seasonal"], abs=1e-12)
-    assert defaults.is_stable()
+    intercept, seasonal = default_s3_coefficients()
+    assert intercept == pytest.approx(GOLDEN["intercept"], abs=1e-9)
+    assert seasonal == pytest.approx(GOLDEN["seasonal"], abs=1e-12)
+    assert abs(seasonal) < 1.0
 
 
 def test_fit_seasonal_ar_white_noise_sampling_distribution():
@@ -154,17 +154,15 @@ def test_fit_seasonal_ar_too_short():
         fit_seasonal_ar(TimeSeries(np.arange(13.0)))
 
 
-def test_s3_unstable_coefficients_rejected():
-    spec = DGPSpec(kind="s3", s3_coefficients=S3Coefficients(intercept=0.0, seasonal=1.2))
-    with pytest.raises(ValueError, match="unstable"):
-        simulate_s3(spec, np.random.default_rng(0))
-
-
-def test_s3_respects_supplied_coefficients():
-    coeffs = S3Coefficients(intercept=5.0, seasonal=0.5, nonseasonal=(0.2,))
-    assert coeffs.is_stable()
-    series = simulate_s3(DGPSpec(kind="s3", s3_coefficients=coeffs), np.random.default_rng(1))
-    assert len(series) == 200
+def test_s3_is_the_fitted_seasonal_recursion():
+    intercept, seasonal = default_s3_coefficients()
+    series = simulate_s3(DGPSpec(kind="s3", length=60, burn_in=30), np.random.default_rng(4))
+    eps = np.random.default_rng(4).normal(size=12 + 30 + 60)
+    y = np.zeros(eps.size)
+    for t in range(12, y.size):
+        y[t] = intercept + seasonal * y[t - 12] + eps[t]
+    expected = y[12 + 30 :]
+    assert np.allclose(series.values, expected - expected.min() + 1.0, rtol=0.0, atol=1e-9)
 
 
 def test_dgp_spec_validation():
