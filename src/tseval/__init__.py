@@ -6,6 +6,8 @@ synthetic stationary generators, stationarity diagnostics, and a Monte
 Carlo harness that scores the estimators against ground-truth losses.
 """
 
+from types import ModuleType as _ModuleType
+
 from .embedding import EmbeddedDataset, embed, estimate_embedding_dimension, fnn_fractions
 from .evaluation import (
     EstimationResult,
@@ -47,8 +49,8 @@ from .splitters import (
     METHODS,
     OOS_METHODS,
     EmptyTrainingSetError,
-    Iteration,
     ResamplingPlan,
+    Runs,
     build_plan,
     plan_cv,
     plan_cv_bl,
@@ -86,4 +88,5 @@ from .synthetic import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not (name.startswith("_") or isinstance(value, _ModuleType))]

@@ -107,18 +107,19 @@ _POOLED = ("Preq-Grow", "Preq-Slide")
 
 
 def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimate:
-    """Fit/score the learner over every iteration of an existing plan.
+    """Fit/score the learner over every iteration of an existing plan, reading
+    its train and test row runs directly.
 
     The lasso fits every training set of the plan at once with
-    :func:`~tseval.learners.fit_lasso_folds` (prefix-sum moments, one path run
-    per distinct active set and signs, a KKT certificate for the rest) and
-    predicts every test row in one product; the sets it leaves to ``fit``
-    (fewer than two rows, or a column too nearly constant for prefix sums)
-    go through ``fit`` and ``predict`` one by one.
+    :func:`~tseval.learners.fit_lasso_folds` (prefix-sum moments over the train
+    runs, one path run per distinct active set and signs, a KKT certificate for
+    the rest) and predicts every test row in one product; the sets it leaves to
+    ``fit`` (fewer than two rows, or a column too nearly constant for prefix
+    sums) go through ``fit`` and ``predict`` one by one.
 
     k-NN reads every distance from the dataset's ``knn_distances`` matrix,
     computed once per dataset, and predicts the plan's test rows in row
-    chunks: each row's columns outside its fold's training set are masked
+    chunks: each row's columns outside its fold's training runs are masked
     with the dataset's ``knn_mask`` (``inf``, or NaN once a distance is
     ``inf``), and :func:`~tseval.learners.knn_average` picks the neighbours. The
     predictions are those of ``fit`` and ``predict`` fold by fold, byte for
@@ -130,29 +131,31 @@ def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimat
     across iterations before taking the root.
     """
     X, y = dataset.predictors, dataset.targets
-    iterations = plan.iterations
-    tests = np.concatenate([it.test for it in iterations])
-    bounds = np.cumsum([0] + [it.test.size for it in iterations])
+    tests = plan.test.rows()
+    bounds = np.concatenate(([0], np.cumsum(plan.test.sizes())))
+    fold = np.repeat(np.arange(len(plan.test)), np.diff(bounds))
     if learner.kind == "lasso":
-        folds = fit_lasso_folds(learner, X, y, [it.train for it in iterations])
-        fold = np.repeat(np.arange(len(iterations)), np.diff(bounds))
+        folds = fit_lasso_folds(learner, X, y, plan.train)
         predictions = np.einsum(
             "ij,ij->i", X[tests], folds.coefficients[fold]
         ) + folds.intercepts[fold]
         refit = np.flatnonzero(~folds.fitted)
         logger.debug(
             "run_plan %s: %d folds, %d path runs, %d fallback folds",
-            plan.method, len(iterations), folds.path_runs, refit.size,
+            plan.method, len(plan.test), folds.path_runs, refit.size,
         )
     else:
-        predictions = _knn_predictions(learner.k, dataset, iterations, tests, bounds)
+        predictions = _knn_predictions(learner.k, dataset, plan.train, tests, fold)
         refit = ()
     for i in refit:
-        it = iterations[i]
+        it = plan.iterations[i]
         model = fit(learner, X[it.train], y[it.train])
         predictions[bounds[i] : bounds[i + 1]] = predict(model, X[it.test])
     squares = (predictions - y[tests]) ** 2
-    fold_losses = np.sqrt([squares[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
+    if tests.size == len(plan.test):
+        fold_losses = np.sqrt(squares)  # the mean of one square is that square
+    else:
+        fold_losses = np.sqrt([squares[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
     if plan.method in _POOLED:
         estimate = float(np.sqrt(sum(squares.tolist()) / squares.size))
     else:
@@ -160,19 +163,20 @@ def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimat
     return LossEstimate(estimate, tuple(fold_losses.tolist()))
 
 
-def _knn_predictions(k: int, dataset, iterations, tests, bounds) -> np.ndarray:
+def _knn_predictions(k: int, dataset, train, tests, fold) -> np.ndarray:
     """k-NN prediction of every test row of a plan (see :func:`run_plan`)."""
-    for it in iterations:
-        check_knn_rows(k, it.train.size)
-    D, n = dataset.knn_distances, dataset.n
-    fold = np.repeat(np.arange(len(iterations)), np.diff(bounds))
+    sizes = train.sizes()
+    check_knn_rows(k, int(sizes[np.argmax(sizes < k)]))
+    D, n, owner = dataset.knn_distances, dataset.n, train.owner()
     predictions = np.empty(tests.size)
     for rows in _row_chunks(tests.size, n):
-        first, last = fold[rows.start], fold[rows.stop - 1]
-        trains = [it.train for it in iterations[first : last + 1]]
-        member = np.zeros((len(trains), n), dtype=bool)
-        member[np.repeat(np.arange(len(trains)), [t.size for t in trains]),
-               np.concatenate(trains)] = True
+        first, last = fold[rows.start], fold[rows.stop - 1] + 1
+        runs = slice(train.start[first], train.start[last])
+        # +1 where a run starts and -1 where it ends: the running sum marks its rows
+        edges = np.zeros((last - first, n + 1), dtype=np.int8)
+        edges[owner[runs] - first, train.lo[runs]] = 1
+        edges[owner[runs] - first, train.hi[runs]] = -1
+        member = np.cumsum(edges[:, :n], axis=1, dtype=np.int8).astype(bool)
         block = D[tests[rows]]
         block[~member[fold[rows] - first]] = dataset.knn_mask
         predictions[rows] = knn_average(block, dataset.targets, k)

@@ -8,14 +8,15 @@ one p x p active-set solve per breakpoint, so near-collinear predictors such
 as the lags of a random walk cost no more than well-conditioned ones.
 
 :func:`fit_lasso_folds` fits the lasso on every training set of a resampling
-plan at once. Each set's means, standardized Gram matrix and correlations come
-from prefix sums of the rows and their outer products, summed over the set's
-runs of consecutive rows. The path runs on the first unsolved set; its active
-set A and signs s are a candidate for all the others, which solve
-G_AA b = c_A - lam s in one stacked solve. A set takes b when b has the signs
-s and every inactive gradient |c_j - G_jA b| is at most lam: these are the
-lasso's KKT conditions, so b is its exact solution (within rounding). The path
-then runs on the first set that failed, and so on until every set is solved.
+plan at once, given as the plan's train row runs. Each set's means,
+standardized Gram matrix and correlations come from prefix sums of the rows and
+their outer products, differenced over each run and summed over the set's
+runs. The path runs on the first unsolved set; its active set A and signs s
+are a candidate for all the others, which solve G_AA b = c_A - lam s in one
+stacked solve. A set takes b when b has the signs s and every inactive
+gradient |c_j - G_jA b| is at most lam: these are the lasso's KKT conditions,
+so b is its exact solution (within rounding). The path then runs on the first
+set that failed, and so on until every set is solved.
 Sets of fewer than two rows, and sets in which a column's variance is too
 small a share of its second moment for prefix sums to resolve, are left to
 :func:`fit`.
@@ -300,23 +301,12 @@ class LassoFolds:
 
 def _set_moments(Z: np.ndarray, trains) -> np.ndarray:
     """Sums of [1, z][1, z]' over each training set's rows of Z, from one
-    prefix sum: each set adds up the differences over its runs of
-    consecutive rows (one run for a window, two for blocked CV)."""
+    prefix sum: each set adds up the differences over its runs."""
     n, q = Z.shape
     W = np.column_stack([np.ones(n), Z])
     prefix = np.zeros((n + 1, q + 1, q + 1))
     np.cumsum(W[:, :, None] * W[:, None, :], axis=0, out=prefix[1:])
-    lo, hi, first = [], [], [0]
-    for train in trains:
-        if train[-1] - train[0] + 1 == train.size:
-            breaks = np.empty(0, dtype=np.intp)
-        else:
-            breaks = np.flatnonzero(np.diff(train) > 1) + 1
-        lo.append(train[np.concatenate(([0], breaks))])
-        hi.append(train[np.concatenate((breaks - 1, [-1]))] + 1)
-        first.append(first[-1] + breaks.size + 1)
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    return np.add.reduceat(prefix[hi] - prefix[lo], first[:-1])
+    return np.add.reduceat(prefix[trains.hi] - prefix[trains.lo], trains.start[:-1])
 
 
 def _certify(G, c, lam, active, signs) -> tuple[np.ndarray, np.ndarray]:
@@ -349,13 +339,14 @@ def _certify(G, c, lam, active, signs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_lasso_folds(spec: LearnerSpec, predictors, targets, trains) -> LassoFolds:
-    """Fit the lasso on each training set, given as strictly increasing row
-    indices into the predictors and targets (as a plan's are). See the
-    module docstring for the method; each solved set equals
-    ``fit(spec, predictors[train], targets[train])`` within the solver's
-    tolerance."""
+    """Fit the lasso on each training set, given as row runs into the
+    predictors and targets (:class:`~tseval.splitters.Runs`, as a plan's
+    ``train``). See the module docstring for the method; each solved set
+    equals ``fit`` on the set's rows within the solver's tolerance."""
     if spec.kind != "lasso":
         raise ValueError("fit_lasso_folds fits the lasso only")
+    if not np.diff(trains.start).all():
+        raise ValueError("empty training set")
     X, y = _validate_xy(predictors, targets)
     p = X.shape[1]
     Z = np.column_stack([X, y])

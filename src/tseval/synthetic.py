@@ -65,7 +65,7 @@ class DGPSpec:
             raise ValueError("length must be >= 20")
         if self.burn_in < 0:
             raise ValueError("burn_in must be non-negative")
-        if self.innovation_sd <= 0:
+        if not self.innovation_sd > 0:
             raise ValueError("innovation_sd must be positive")
 
 

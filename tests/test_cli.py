@@ -59,6 +59,14 @@ def test_simulate_requires_some_output():
     assert run_cli("simulate", "--dgp", "s1") == 1
 
 
+@pytest.mark.parametrize("sd", ["nan", "0", "-1"])
+def test_simulate_rejects_a_bad_innovation_sd(tmp_path, caplog, sd):
+    out = tmp_path / "o.csv"
+    assert run_cli("simulate", "--dgp", "s1", "--innovation-sd", sd, "--long-csv", str(out)) == 1
+    assert "innovation_sd must be positive" in caplog.text
+    assert not out.exists()
+
+
 def test_benchmark_writes_results_and_ranks(tmp_path, capsys):
     out = tmp_path / "res.csv"
     ranks = tmp_path / "ranks.csv"

@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 from tseval import (
     EstimationResult,
     LearnerSpec,
+    ResamplingPlan,
+    Runs,
     TimeSeries,
     apae,
     average_ranks,
@@ -189,11 +191,21 @@ def test_run_plan_pooled_aggregation():
     )
 
 
+def reversed_runs(runs):
+    """The same iterations' runs, last iteration first."""
+    spans = [range(a, b) for a, b in zip(runs.start[:-1], runs.start[1:])][::-1]
+    order = [i for span in spans for i in span]
+    return Runs(runs.lo[order], runs.hi[order], np.cumsum([0] + [len(s) for s in spans]))
+
+
 def test_estimate_loss_iteration_order_does_not_matter():
     series = TimeSeries(np.random.default_rng(8).normal(size=50))
     ds = embed(series, 3)
     plan = build_plan("CV-Bl", ds.n, K=5)
-    reversed_plan = type(plan)(plan.method, plan.n, tuple(reversed(plan.iterations)))
+    reversed_plan = ResamplingPlan(plan.method, plan.n, reversed_runs(plan.train),
+                                   reversed_runs(plan.test))
+    assert [it.test.tolist() for it in reversed_plan.iterations] == [
+        it.test.tolist() for it in plan.iterations[::-1]]
     a = run_plan(plan, ds, LearnerSpec())
     b = run_plan(reversed_plan, ds, LearnerSpec())
     assert a.estimate == pytest.approx(b.estimate)

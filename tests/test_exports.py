@@ -1,6 +1,5 @@
 import ast
 from pathlib import Path
-from types import ModuleType
 
 import tseval
 
@@ -24,9 +23,7 @@ def _imported_names(path: Path) -> set[str]:
 
 
 def test_every_re_export_is_imported_somewhere():
-    # the submodules land in __all__ too; only the re-exported names count
-    exported = {name for name in tseval.__all__
-                if not isinstance(getattr(tseval, name), ModuleType)}
+    exported = set(tseval.__all__)
     used = set().union(*map(_imported_names, USERS))
     dead = sorted(exported - used)
     assert not dead, f"tseval re-exports names that nothing imports: {dead}"

@@ -10,10 +10,10 @@ from tseval import (
     DGPSpec,
     EmbeddedDataset,
     EmptyTrainingSetError,
-    Iteration,
     LassoModel,
     LearnerSpec,
     ResamplingPlan,
+    Runs,
     TimeSeries,
     build_plan,
     embed,
@@ -281,11 +281,11 @@ def test_run_plan_lasso_matches_per_fold_fits(kind, p):
 def _fold_models(spec, ds, plan):
     """Each fitted fold as a LassoModel, with its penalty and scaling
     recomputed from the fold's own rows."""
-    trains = [it.train for it in plan.iterations]
-    folds = fit_lasso_folds(spec, ds.predictors, ds.targets, trains)
+    folds = fit_lasso_folds(spec, ds.predictors, ds.targets, plan.train)
     models = []
     for i in np.flatnonzero(folds.fitted):
-        X, y = ds.predictors[trains[i]], ds.targets[trains[i]]
+        train = plan.iterations[i].train
+        X, y = ds.predictors[train], ds.targets[train]
         scales = X.std(axis=0)
         lam = 0.01 * lambda_max(X, y) if spec.lam is None else spec.lam
         model = LassoModel(X.shape[1], folds.coefficients[i], float(folds.intercepts[i]),
@@ -325,8 +325,7 @@ def test_nearly_constant_column_falls_back_to_fit():
     values[40:60] = 1.5
     ds = embed(TimeSeries(values), 2)
     plan = build_plan("Preq-Sld-Bls", ds.n)
-    trains = [it.train for it in plan.iterations]
-    folds = fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, trains)
+    folds = fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, plan.train)
     assert np.flatnonzero(~folds.fitted).tolist() == [2]
     assert np.isnan(folds.coefficients[2]).all()
     got = run_plan(plan, ds, LearnerSpec())
@@ -337,9 +336,11 @@ def test_nearly_constant_column_falls_back_to_fit():
 
 def test_single_row_fold_falls_back_to_fit():
     ds = embed(TimeSeries(np.random.default_rng(4).normal(size=30)), 2)
-    trains = [np.array([0]), np.arange(10)]
+    trains = Runs(lo=[0, 0], hi=[1, 10], start=[0, 1, 2])  # rows [0] and 0..9
     folds = fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, trains)
     assert folds.fitted.tolist() == [False, True]
+    with pytest.raises(ValueError, match="empty training set"):
+        fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, Runs([0], [10], [0, 1, 1]))
 
 
 def test_zero_penalty_on_a_line_predicts_exactly():
@@ -372,7 +373,8 @@ def test_collinear_candidate_columns_leave_the_fold_to_the_path(equal_rows_first
     halves = [np.arange(50), np.arange(50, 100)]
     trains = halves[::-1] if equal_rows_first else halves
     spec = LearnerSpec()
-    folds = fit_lasso_folds(spec, X, y, trains)
+    runs = Runs([t[0] for t in trains], [t[-1] + 1 for t in trains], [0, 1, 2])
+    folds = fit_lasso_folds(spec, X, y, runs)
     assert folds.fitted.all() and folds.path_runs == 2
     for i, train in enumerate(trains):
         model = fit(spec, X[train], y[train])
@@ -488,14 +490,13 @@ def test_knn_predict_equals_whole_row_sort(values):
 def test_run_plan_knn_refuses_a_training_set_smaller_than_k():
     ds = embed(TimeSeries(np.random.default_rng(15).normal(size=40)), 2)
     spec = LearnerSpec(kind="knn", k=5)
-    trains = [np.arange(10), np.arange(3), np.arange(4)]
-    plan = ResamplingPlan("Preq-Bls", ds.n, tuple(
-        Iteration(train, np.arange(20 + 5 * i, 25 + 5 * i)) for i, train in enumerate(trains)
-    ))
+    # trains on rows 0..9, 0..3 and 0..2; tests on rows 20..24, 25..29 and 30..34
+    plan = ResamplingPlan("Preq-Bls", ds.n, Runs([0, 0, 0], [10, 4, 3], [0, 1, 2, 3]),
+                          Runs([20, 25, 30], [25, 30, 35], [0, 1, 2, 3]))
     with pytest.raises(ValueError) as expected:
         for it in plan.iterations:
             fit(spec, ds.predictors[it.train], ds.targets[it.train])
-    assert "got 3" in str(expected.value)
+    assert "got 4" in str(expected.value)  # the first short fold, not the shortest
     with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
         run_plan(plan, ds, spec)
 

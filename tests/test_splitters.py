@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from tseval import (
     METHODS,
     OOS_METHODS,
     EmptyTrainingSetError,
-    Iteration,
+    ResamplingPlan,
+    Runs,
     build_plan,
     plan_cv,
     plan_cv_bl,
@@ -44,17 +47,42 @@ def check_common_invariants(plan):
         assert set().union(*tests) == set(range(plan.n))
 
 
-# --- iteration basics -------------------------------------------------------
+# --- plan basics ------------------------------------------------------------
 
-def test_iteration_rejects_overlap_and_empty():
-    with pytest.raises(ValueError):
-        Iteration((0, 1), (1, 2))
-    with pytest.raises(ValueError):
-        Iteration((), (1,))
-    with pytest.raises(ValueError):
-        Iteration((0,), (1,), gap=(0,))
-    with pytest.raises(ValueError):
-        Iteration((1, 0), (2,))
+def one_run_each(*runs):
+    """Runs holding one (lo, hi) run per iteration."""
+    return Runs([lo for lo, _ in runs], [hi for _, hi in runs], range(len(runs) + 1))
+
+
+def test_plan_rejects_overlap_empty_and_malformed_runs():
+    rows_0_1, rows_1_2 = one_run_each((0, 2)), one_run_each((1, 3))
+    with pytest.raises(ValueError, match="overlap"):
+        ResamplingPlan("X", 3, rows_0_1, rows_1_2)
+    with pytest.raises(ValueError, match="non-empty"):
+        ResamplingPlan("X", 3, Runs([], [], [0, 0]), one_run_each((1, 2)))
+    with pytest.raises(ValueError, match="non-empty"):
+        ResamplingPlan("X", 3, one_run_each((1, 2)), Runs([], [], [0, 0]))
+    with pytest.raises(ValueError, match="overlap"):
+        ResamplingPlan("X", 3, one_run_each((0, 1)), one_run_each((1, 2)), one_run_each((0, 1)))
+    with pytest.raises(ValueError, match="overlap"):
+        ResamplingPlan("X", 5, one_run_each((0, 1)), one_run_each((1, 2)), one_run_each((1, 4)))
+    # runs out of order, touching, empty or negative
+    for lo, hi in (([1, 0], [2, 1]), ([0, 2], [2, 4]), ([0, 2], [1, 2]), ([-1], [1])):
+        with pytest.raises(ValueError, match="increasing and separated"):
+            Runs(lo, hi, [0, len(lo)])
+    # offsets that do not run from 0 to the number of runs, rising
+    for start in ([1, 1], [0, 2], [0], [], [0, 1, 0, 1]):
+        with pytest.raises(ValueError, match="offsets"):
+            Runs([0], [1], start)
+    with pytest.raises(ValueError, match="out of range"):
+        ResamplingPlan("X", 3, one_run_each((0, 1)), one_run_each((1, 4)))
+    with pytest.raises(ValueError, match="same number of iterations"):
+        ResamplingPlan("X", 4, one_run_each((0, 1), (0, 2)), one_run_each((2, 3)))
+    with pytest.raises(ValueError, match="same number of iterations"):
+        ResamplingPlan("X", 4, one_run_each((0, 1)), one_run_each((2, 3)), Runs([], [], [0, 0, 0]))
+    plan = ResamplingPlan("X", 6, Runs([0, 4], [1, 6], [0, 2]), one_run_each((2, 3)),
+                          one_run_each((1, 2)))
+    assert [part.tolist() for part in plan.iterations[0]] == [[0, 4, 5], [2], [1]]
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -63,7 +91,7 @@ def test_plan_parts_are_sorted_read_only_int_arrays(method):
     for it in plan.iterations:
         for part in (it.train, it.test, it.gap):
             assert isinstance(part, np.ndarray) and part.ndim == 1
-            assert np.issubdtype(part.dtype, np.integer)
+            assert part.dtype == np.intp
             assert np.all(np.diff(part) > 0)
             assert not part.flags.writeable
             if part.size:
@@ -377,6 +405,86 @@ def test_plans_deterministic(space):
         if method not in ("CV", "CV-Mod", "Rep-Holdout"):
             c = build_plan(method, n, K=K, p=p, seed=seed + 1)
             assert iteration_sets(a) == iteration_sets(c)
+
+
+# --- brute-force oracles --------------------------------------------------------
+
+def oracle_blocks(n, K):
+    sizes = [n // K + (i < n % K) for i in range(K)]
+    return [sum(sizes[:i]) for i in range(K + 1)]
+
+
+def oracle_cv(n, K, order):
+    b = oracle_blocks(n, K)
+    tests = [sorted(order[b[i] : b[i + 1]]) for i in range(K)]
+    return [[sorted(set(range(n)) - set(test)), test, []] for test in tests]
+
+
+def oracle_remove_near(method, iterations, p):
+    out = []
+    for k, (train, test, _) in enumerate(iterations):
+        distance = np.abs(np.subtract.outer(train, test)).min(axis=1)
+        near = [r for r, d in zip(train, distance) if d <= p]
+        if len(near) == len(train):
+            raise EmptyTrainingSetError(
+                f"{method}: empty training set in iteration {k} "
+                f"(removal radius {p} covers every training row)"
+            )
+        out.append([[r for r in train if r not in near], test, near])
+    return out
+
+
+def oracle_plan(method, n, K, p, seed):
+    """Each iteration's [train, test, gap] row lists, from the definitions."""
+    rows = list(range(n))
+    b = oracle_blocks(n, K)
+    if method in ("CV", "CV-Mod"):
+        plan = oracle_cv(n, K, np.random.default_rng(seed).permutation(n).tolist())
+        return oracle_remove_near(method, plan, p) if method == "CV-Mod" else plan
+    if method in ("CV-Bl", "CV-hvBl"):
+        plan = oracle_cv(n, K, rows)
+        return oracle_remove_near(method, plan, p) if method == "CV-hvBl" else plan
+    if method == "Holdout":
+        cut = math.floor(0.7 * n)
+        return [[rows[:cut], rows[cut:], []]]
+    if method == "Rep-Holdout":
+        rng, train, test = np.random.default_rng(seed), math.floor(0.6 * n), math.floor(0.1 * n)
+        cuts = [int(rng.integers(train, n - test + 1)) for _ in range(10)]
+        return [[rows[a - train : a], rows[a : a + test], []] for a in cuts]
+    if method == "Preq-Bls":
+        return [[rows[: b[i]], rows[b[i] : b[i + 1]], []] for i in range(1, K)]
+    if method == "Preq-Sld-Bls":
+        return [[rows[b[i - 1] : b[i]], rows[b[i] : b[i + 1]], []] for i in range(1, K)]
+    if method == "Preq-Bls-Gap":
+        return [[rows[: b[i]], rows[b[i + 1] : b[i + 2]], rows[b[i] : b[i + 1]]]
+                for i in range(1, K - 1)]
+    if method == "Preq-Grow":
+        return [[rows[:j], [j], []] for j in range(n // 2, n)]
+    return [[rows[j - n // 2 : j], [j], []] for j in range(n // 2, n)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_plans_equal_brute_force_oracles(method):
+    cases = 0
+    for n in (10, 11, 17, 40, 99, 160, 257):
+        for K in range(2 if method != "Preq-Bls-Gap" else 3, 11):
+            for p in (1, 2, 3, 5, 8, 10) if method in ("CV-Mod", "CV-hvBl") else (1,):
+                for seed in (1, 2, 3) if method in ("CV", "CV-Mod", "Rep-Holdout") else (1,):
+                    try:
+                        expected = oracle_plan(method, n, K, p, seed)
+                    except EmptyTrainingSetError as error:
+                        with pytest.raises(EmptyTrainingSetError) as got:
+                            build_plan(method, n, K=K, p=p, seed=seed)
+                        assert str(got.value) == str(error)
+                        continue
+                    plan = build_plan(method, n, K=K, p=p, seed=seed)
+                    assert iteration_sets(plan) == expected, (n, K, p, seed)
+                    for it in plan.iterations:
+                        for part in it:
+                            assert part.dtype == np.intp and not part.flags.writeable
+                            assert (part[1:] > part[:-1]).all()
+                    cases += 1
+    assert cases >= 50
 
 
 def test_build_plan_unknown_method():
