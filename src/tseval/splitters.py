@@ -162,16 +162,17 @@ class ResamplingPlan:
 
 
 def _views(runs: Runs, rows: np.ndarray) -> list[np.ndarray]:
-    lo, hi = runs.lo.tolist(), runs.hi.tolist()
-    views = []
-    for first, last in pairwise(runs.start.tolist()):
-        if last - first <= 1:
-            views.append(rows[lo[first] : hi[first]] if last > first else rows[:0])
-        else:
-            view = np.concatenate([rows[a:b] for a, b in zip(lo[first:last], hi[first:last])])
-            view.flags.writeable = False
-            views.append(view)
-    return views
+    """Each iteration's rows as a slice of one read-only array: of ``rows``
+    where no iteration has more than one run, else of the part's expansion."""
+    counts = runs.start[1:] - runs.start[:-1]
+    if counts.max(initial=0) <= 1:
+        lo, hi = runs.lo.tolist(), runs.hi.tolist()
+        return [rows[lo[s] : hi[s]] if c else rows[:0]
+                for s, c in zip(runs.start.tolist(), counts.tolist())]
+    flat = runs.rows()
+    flat.flags.writeable = False
+    ends = np.concatenate(([0], np.cumsum(runs.sizes()))).tolist()
+    return [flat[a:b] for a, b in pairwise(ends)]
 
 
 def _runs(lo: np.ndarray, hi: np.ndarray, bounds: np.ndarray) -> Runs:
