@@ -111,11 +111,11 @@ def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimat
     its train and test row runs directly.
 
     The lasso fits every training set of the plan at once with
-    :func:`~tseval.learners.fit_lasso_folds` (prefix-sum moments over the train
-    runs, one path run per distinct active set and signs, a KKT certificate for
-    the rest) and predicts every test row in one product; the sets it leaves to
-    ``fit`` (fewer than two rows, or a column too nearly constant for prefix
-    sums) go through ``fit`` and ``predict`` one by one.
+    :func:`~tseval.learners.fit_lasso_folds` (prefix-sum moments, one path run
+    per distinct active set and signs, a KKT certificate for the rest) and
+    predicts every test row in one product; the sets it leaves to ``fit``
+    (fewer than two rows, or a column too nearly constant for prefix sums)
+    go through ``fit`` and ``predict`` one by one.
 
     k-NN reads every distance from the dataset's ``knn_distances`` matrix,
     computed once per dataset, and predicts the plan's test rows in row

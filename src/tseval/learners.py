@@ -8,15 +8,14 @@ one p x p active-set solve per breakpoint, so near-collinear predictors such
 as the lags of a random walk cost no more than well-conditioned ones.
 
 :func:`fit_lasso_folds` fits the lasso on every training set of a resampling
-plan at once, given as the plan's train row runs. Each set's means,
-standardized Gram matrix and correlations come from prefix sums of the rows and
-their outer products, differenced over each run and summed over the set's
-runs. The path runs on the first unsolved set; its active set A and signs s
-are a candidate for all the others, which solve G_AA b = c_A - lam s in one
-stacked solve. A set takes b when b has the signs s and every inactive
-gradient |c_j - G_jA b| is at most lam: these are the lasso's KKT conditions,
-so b is its exact solution (within rounding). The path then runs on the first
-set that failed, and so on until every set is solved.
+plan at once, given as the plan's train row runs. Each set's means, standardized
+Gram matrix and correlations come from prefix sums of the rows and their outer
+products, summed over the set's runs. The path runs on the first unsolved set;
+its active set A and signs s are a candidate for all the others, which solve
+G_AA b = c_A - lam s in one stacked solve. A set takes b when b has the signs
+s and every inactive gradient |c_j - G_jA b| is at most lam: these are the
+lasso's KKT conditions, so b is its exact solution (within rounding). The path
+then runs on the first set that failed, and so on until every set is solved.
 Sets of fewer than two rows, and sets in which a column's variance is too
 small a share of its second moment for prefix sums to resolve, are left to
 :func:`fit`.

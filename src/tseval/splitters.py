@@ -147,14 +147,15 @@ class ResamplingPlan:
         # row r of iteration i at i * (n + 1) + r: one sorted line of runs, merged
         # in linear time from the three parts' increasing runs by a stable sort
         shift = np.concatenate([part.owner() for part in parts]) * (self.n + 1)
-        order = np.argsort(lo + shift, kind="stable")
-        if ((lo + shift)[order[1:]] < (hi + shift)[order[:-1]]).any():
+        lo, hi = lo + shift, hi + shift
+        order = np.argsort(lo, kind="stable")
+        if (lo[order[1:]] < hi[order[:-1]]).any():
             raise ValueError("train, test and gap rows overlap")
 
     @cached_property
     def iterations(self) -> tuple[Iteration, ...]:
         """Each iteration's rows as strictly increasing, read-only ``intp``
-        arrays: a slice of one ``arange`` where a part is a single run."""
+        arrays, each a slice of one array per part (see ``_views``)."""
         rows = np.arange(self.n, dtype=np.intp)
         rows.flags.writeable = False
         parts = [_views(part, rows) for part in (self.train, self.test, self.gap)]
