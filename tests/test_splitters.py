@@ -424,13 +424,13 @@ def oracle_remove_near(method, iterations, p):
     out = []
     for k, (train, test, _) in enumerate(iterations):
         distance = np.abs(np.subtract.outer(train, test)).min(axis=1)
-        near = [r for r, d in zip(train, distance) if d <= p]
-        if len(near) == len(train):
+        kept = [r for r, d in zip(train, distance) if d > p]
+        if not kept:
             raise EmptyTrainingSetError(
                 f"{method}: empty training set in iteration {k} "
                 f"(removal radius {p} covers every training row)"
             )
-        out.append([[r for r in train if r not in near], test, near])
+        out.append([kept, test, [r for r, d in zip(train, distance) if d <= p]])
     return out
 
 
