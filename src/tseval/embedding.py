@@ -9,8 +9,10 @@ chunks, so each step's temporaries (the squared coordinate differences and
 the zero mask) hold about ``_CHUNK`` entries whatever the length of the
 series.
 :func:`squared_distances` is chunked the same way; it is the k-NN metric,
-and an :class:`EmbeddedDataset` keeps the matrix of its own rows once it
-has been asked for it.
+and :func:`nearest_columns` is the k-NN neighbour order. An
+:class:`EmbeddedDataset` keeps no distance matrix: once asked, it keeps each
+row's first ``KNN_WINDOW`` columns in that order, built one row chunk at a
+time, which is n x ``KNN_WINDOW`` integers whatever the length of the series.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .series import TimeSeries
 
 __all__ = [
+    "KNN_WINDOW",
     "EmbeddedDataset",
     "embed",
     "squared_distances",
+    "nearest_columns",
     "fnn_fractions",
     "estimate_embedding_dimension",
 ]
@@ -68,20 +72,21 @@ class EmbeddedDataset:
         return int(self.targets.size)
 
     @cached_property
-    def knn_distances(self) -> np.ndarray:
-        """Read-only n x n squared distances between the rows, computed on
-        first use; entry (i, j) is what k-NN ``predict`` computes for row i
-        against training row j."""
-        D = squared_distances(self.predictors, self.predictors)
-        D.flags.writeable = False
-        return D
+    def knn_window(self) -> np.ndarray:
+        """Read-only n x min(``KNN_WINDOW``, n) array, computed on first use:
+        row i holds the first columns of :func:`nearest_columns` for row i's
+        squared distances to every row, which is the order in which k-NN
+        ``predict`` would take them as neighbours."""
+        window = np.empty((self.n, min(KNN_WINDOW, self.n)), dtype=np.intp)
+        for rows in _row_chunks(self.n, self.n):
+            dist = squared_distances(self.predictors[rows], self.predictors)
+            window[rows] = nearest_columns(dist, window.shape[1])
+        window.flags.writeable = False
+        return window
 
-    @cached_property
-    def knn_mask(self) -> float:
-        """Masks a column out of a k-NN search: ``inf`` (``argpartition`` is
-        2-3x slower on NaN), or NaN, which sorts after an overflowed ``inf``."""
-        return np.inf if self.knn_distances.max() < np.inf else np.nan
 
+# columns of each row's k-NN neighbour order that a dataset keeps
+KNN_WINDOW = 128
 
 # entries of the temporaries that one row chunk may hold (1 MiB of floats)
 _CHUNK = 1 << 17
@@ -107,6 +112,22 @@ def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         diff = A[rows, None, :] - B[None, :, :]
         np.einsum("mnp,mnp->mn", diff, diff, out=out[rows])
     return out
+
+
+def nearest_columns(dist: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of a stable argsort of each row of ``dist``:
+    ascending distance, ties to the lowest column.
+
+    ``argpartition`` finds the k-th smallest distance. A row with exactly k
+    entries at or below it keeps those k, sorted by column and then stably by
+    distance; a row tied at the k-th distance is sorted whole.
+    """
+    nearest = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
+    near = np.take_along_axis(dist, nearest, axis=1)
+    nearest = np.take_along_axis(nearest, np.argsort(near, axis=1, kind="stable"), axis=1)
+    tied = np.count_nonzero(dist <= near.max(axis=1)[:, None], axis=1) != k
+    nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
+    return nearest
 
 
 def embed(series: TimeSeries, p: int) -> EmbeddedDataset:
@@ -175,10 +196,10 @@ def _false_fractions(series: TimeSeries, d_max: int) -> Iterator[float]:
             D2 = all_d2[rows, :m]
             step = np.subtract.outer(coordinate[rows], coordinate)
             D2 += np.square(step, out=step)
-            is_zero = D2 <= zero * zero
-            has_dup[rows] = is_zero.any(axis=1)
-            nn[rows] = np.where(has_dup[rows], np.argmax(is_zero, axis=1), np.argmin(D2, axis=1))
-            d2[rows] = D2[np.arange(D2.shape[0]), nn[rows]]
+            at, nearest = np.arange(D2.shape[0]), np.argmin(D2, axis=1)
+            dup = D2[at, nearest] <= zero * zero  # only then scan for the first zero
+            nearest[dup] = np.argmax(D2[dup] <= zero * zero, axis=1)
+            has_dup[rows], nn[rows], d2[rows] = dup, nearest, D2[at, nearest]
         extra = np.abs(y[d:] - y[nn + d])
         dup_false = has_dup & (extra > zero)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddedDataset, _row_chunks, embed
+from .embedding import EmbeddedDataset, _row_chunks, embed, squared_distances
 from .learners import LearnerSpec, check_knn_rows, fit, fit_lasso_folds, knn_average, predict
 from .series import TimeSeries
 from .splitters import ResamplingPlan, build_plan
@@ -117,11 +117,11 @@ def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimat
     (fewer than two rows, or a column too nearly constant for prefix sums)
     go through ``fit`` and ``predict`` one by one.
 
-    k-NN reads every distance from the dataset's ``knn_distances`` matrix,
-    computed once per dataset, and predicts the plan's test rows in row
-    chunks: each row's columns outside its fold's training runs are masked
-    with the dataset's ``knn_mask`` (``inf``, or NaN once a distance is
-    ``inf``), and :func:`~tseval.learners.knn_average` picks the neighbours. The
+    k-NN predicts the plan's test rows in row chunks from the dataset's
+    ``knn_window``, each row's nearest columns in neighbour order, computed
+    once per dataset: a row's neighbours are the first k of its window that lie
+    in its fold's training runs. A row whose window holds fewer than k of them
+    orders its distances to its fold's training rows, as ``predict`` does. The
     predictions are those of ``fit`` and ``predict`` fold by fold, byte for
     byte, and a training set of fewer than k rows raises ``fit``'s error for
     the first such fold.
@@ -167,7 +167,7 @@ def _knn_predictions(k: int, dataset, train, tests, fold) -> np.ndarray:
     """k-NN prediction of every test row of a plan (see :func:`run_plan`)."""
     sizes = train.sizes()
     check_knn_rows(k, int(sizes[np.argmax(sizes < k)]))
-    D, n, owner = dataset.knn_distances, dataset.n, train.owner()
+    X, y, n, owner = dataset.predictors, dataset.targets, dataset.n, train.owner()
     predictions = np.empty(tests.size)
     for rows in _row_chunks(tests.size, n):
         first, last = fold[rows.start], fold[rows.stop - 1] + 1
@@ -177,9 +177,18 @@ def _knn_predictions(k: int, dataset, train, tests, fold) -> np.ndarray:
         edges[owner[runs] - first, train.lo[runs]] = 1
         edges[owner[runs] - first, train.hi[runs]] = -1
         member = np.cumsum(edges[:, :n], axis=1, dtype=np.int8).astype(bool)
-        block = D[tests[rows]]
-        block[~member[fold[rows] - first]] = dataset.knn_mask
-        predictions[rows] = knn_average(block, dataset.targets, k)
+        row_fold = fold[rows] - first
+        window = dataset.knn_window[tests[rows]]
+        inside = member[row_fold[:, None], window]
+        inside &= np.cumsum(inside, axis=1) <= k  # the first k training rows
+        found = np.count_nonzero(inside, axis=1) == k
+        out = predictions[rows]
+        out[found] = y[window[found][inside[found]].reshape(-1, k)].mean(axis=1)
+        for f in np.unique(row_fold[~found]):  # fewer than k: search the training rows
+            lost = ~found & (row_fold == f)
+            columns = np.flatnonzero(member[f])
+            dist = squared_distances(X[tests[rows][lost]], X[columns])
+            out[lost] = knn_average(dist, y[columns], k)
     return predictions
 
 
@@ -194,7 +203,7 @@ def estimate_loss(
 ) -> LossEstimate:
     """Build the named plan over the rows of an embedded estimation series
     and run it. The caller embeds the series once for all its methods, so
-    k-NN computes the rows' distance matrix once for all of them too."""
+    k-NN computes the rows' neighbour window once for all of them too."""
     plan = build_plan(method, dataset.n, K=K, p=dataset.p, nreps=nreps, seed=seed)
     return run_plan(plan, dataset, learner)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import _row_chunks, squared_distances
+from .embedding import _row_chunks, nearest_columns, squared_distances
 
 __all__ = [
     "LearnerSpec",
@@ -412,20 +412,9 @@ def check_knn_rows(k: int, rows: int) -> None:
 
 
 def knn_average(dist: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
-    """Mean of ``targets`` over the k smallest entries of each row of
-    ``dist``, taken in the order of a stable argsort of the row: ascending
-    distance, ties to the lowest column, NaN entries last.
-
-    ``argpartition`` finds the k-th smallest distance. A row with exactly k
-    entries at or below it keeps those k, sorted by column and then stably by
-    distance; a row tied at the k-th distance is sorted whole.
-    """
-    nearest = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
-    near = np.take_along_axis(dist, nearest, axis=1)
-    nearest = np.take_along_axis(nearest, np.argsort(near, axis=1, kind="stable"), axis=1)
-    tied = np.count_nonzero(dist <= near.max(axis=1)[:, None], axis=1) != k
-    nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
-    return targets[nearest].mean(axis=1)
+    """Mean of ``targets`` over each row's first k columns of
+    :func:`~tseval.embedding.nearest_columns`, taken in that order."""
+    return targets[nearest_columns(dist, k)].mean(axis=1)
 
 
 def predict(model: LassoModel | KnnModel, predictors) -> np.ndarray:

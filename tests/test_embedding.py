@@ -221,9 +221,12 @@ def test_fnn_memory_is_one_running_sum_matrix():
     assert peak < 1.25 * 8 * (t - 1) ** 2
 
 
-def test_knn_distances_are_read_only_and_computed_once():
-    ds = embed(TimeSeries(np.random.default_rng(24).normal(size=300)), 4)
-    D = ds.knn_distances
-    assert ds.knn_distances is D and not D.flags.writeable
-    diff = ds.predictors[:, None, :] - ds.predictors[None, :, :]
-    assert D.tobytes() == np.einsum("mnp,mnp->mn", diff, diff).tobytes()
+def test_knn_window_is_read_only_computed_once_and_a_stable_sort():
+    # one decimal puts many rows equally far apart, also at the window's edge
+    ds = embed(TimeSeries(np.round(np.random.default_rng(24).normal(size=300), 1)), 2)
+    window = ds.knn_window
+    assert ds.knn_window is window and not window.flags.writeable
+    assert ds.n > embedding.KNN_WINDOW and window.shape == (ds.n, embedding.KNN_WINDOW)
+    D = embedding.squared_distances(ds.predictors, ds.predictors)
+    expected = np.argsort(D, axis=1, kind="stable")[:, : embedding.KNN_WINDOW]
+    assert np.array_equal(window, expected)

@@ -24,6 +24,7 @@ from tseval import (
     predict,
     run_plan,
 )
+from tseval.embedding import KNN_WINDOW, squared_distances
 from tseval.synthetic import simulate
 
 
@@ -432,10 +433,19 @@ def test_run_plan_knn_equals_per_fold_fits(kind, p, k):
 
 def _tied_at_kth(ds, k):
     """Whether some row's k-th and (k+1)-th nearest other rows are equally far."""
-    D = ds.knn_distances.copy()
+    D = squared_distances(ds.predictors, ds.predictors)
     np.fill_diagonal(D, np.inf)
     ordered = np.sort(D, axis=1)
     return bool(np.any(ordered[:, k - 1] == ordered[:, k]))
+
+
+def _short_windows(ds, plan, k):
+    """How many test rows of the plan have fewer than k of their fold's
+    training rows in their neighbour window."""
+    return sum(
+        int(np.count_nonzero(np.isin(ds.knn_window[it.test], it.train).sum(axis=1) < k))
+        for it in plan.iterations
+    )
 
 
 @pytest.mark.parametrize("k", [1, 5])
@@ -444,8 +454,47 @@ def test_run_plan_knn_ties_at_the_kth_neighbour(p, k):
     # one decimal of normal draws puts many rows equally far apart
     ds = embed(TimeSeries(np.round(np.random.default_rng(12).normal(size=200), 1)), p)
     assert _tied_at_kth(ds, k)
-    assert ds.knn_mask == np.inf
+    assert np.isfinite(squared_distances(ds.predictors, ds.predictors)).all()
     assert_knn_plans_exact(ds, k)
+
+
+def test_run_plan_knn_ties_at_the_window_edge():
+    ds = embed(TimeSeries(np.round(np.random.default_rng(18).normal(size=400), 1)), 1)
+    ordered = np.sort(squared_distances(ds.predictors, ds.predictors), axis=1)
+    assert ds.n > KNN_WINDOW
+    assert np.any(ordered[:, KNN_WINDOW - 1] == ordered[:, KNN_WINDOW])
+    for k in (1, 5):
+        assert_knn_plans_exact(ds, k)
+
+
+def test_run_plan_knn_holdout_rows_beyond_the_window():
+    # its 240 test rows outnumber the window, and a drifting walk's last rows
+    # lie far from every row the holdout trains on
+    ds = embed(TimeSeries(_walk(np.random.default_rng(19), 800)), 2)
+    assert _short_windows(ds, build_plan("Holdout", ds.n, p=2), 5) > 0
+    assert_knn_plans_exact(ds, 5)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e154])
+def test_run_plan_knn_multi_run_fold_beyond_the_window(scale):
+    # trains on two runs in the middle of a drifting walk and tests on its end;
+    # at 1e154 most distances overflow, so a masked row must rank them first
+    ds = embed(TimeSeries(scale * _walk(np.random.default_rng(20), 400)), 2)
+    plan = ResamplingPlan("CV-Bl", ds.n, Runs([150, 200], [190, 240], [0, 2]),
+                          Runs([340], [ds.n], [0, 1]))
+    spec = LearnerSpec(kind="knn", k=5)
+    with np.errstate(over="ignore"):
+        assert np.isinf(squared_distances(ds.predictors, ds.predictors)).any() == (scale > 1)
+        assert _short_windows(ds, plan, 5) > 0
+        got = run_plan(plan, ds, spec)
+        assert (got.estimate, got.fold_losses) == per_fold_knn(plan, ds, spec)
+
+
+def test_run_plan_knn_rows_within_one_window():
+    ds = embed(TimeSeries(_trend(np.random.default_rng(21), 100)), 3)
+    assert ds.n <= KNN_WINDOW and ds.knn_window.shape == (ds.n, ds.n)
+    for k in (1, 5):
+        assert_knn_plans_exact(ds, k)
 
 
 @pytest.mark.parametrize("k", [1, 5])
@@ -466,8 +515,7 @@ def test_run_plan_knn_overflowed_distances(p, scale):
     n = 180
     ds = EmbeddedDataset(scale * rng.normal(size=(n, p)), rng.normal(size=n), np.arange(n), p)
     with np.errstate(over="ignore"):
-        assert np.isinf(ds.knn_distances).any()
-        assert np.isnan(ds.knn_mask)
+        assert np.isinf(squared_distances(ds.predictors, ds.predictors)).any()
         for k in (1, 5):
             assert_knn_plans_exact(ds, k)
 
@@ -512,3 +560,17 @@ def test_knn_predict_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # the whole 1000 x 2000 x 30 difference is 480 MB
+
+
+def test_run_plan_knn_memory_is_bounded():
+    ds = embed(TimeSeries(_walk(np.random.default_rng(22), 3000)), 5)
+    spec = LearnerSpec(kind="knn", k=5)
+    plans = [build_plan(method, ds.n, p=5, seed=3) for method in ("Holdout", "Preq-Bls", "CV")]
+    tracemalloc.start()
+    try:
+        for plan in plans:
+            run_plan(plan, ds, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # an n x n matrix of distances is 72 MB
