@@ -3,11 +3,11 @@ false-nearest-neighbours dimension selection.
 
 :func:`estimate_embedding_dimension` steps d = 1, 2, ... and stops at the
 first dimension whose false-neighbour fraction is at most the tolerance;
-:func:`fnn_fractions` runs every step up to ``d_max``. Both keep one
-(t-1) x (t-1) matrix of running squared distances and update it in row
-chunks, so each step's temporaries (the squared coordinate differences and
-the zero mask) hold about ``_CHUNK`` entries whatever the length of the
-series.
+:func:`fnn_fractions` runs every step up to ``d_max``. Both keep the
+running squared distances between the t-1 points once, as the upper
+triangle of their symmetric matrix, and update them in row chunks, so each
+step's temporaries (the squared coordinate differences and the chunk's whole
+rows) hold about ``_CHUNK`` entries whatever the length of the series.
 :func:`squared_distances` is chunked the same way; it is the k-NN metric,
 and :func:`nearest_columns` is the k-NN neighbour order. An
 :class:`EmbeddedDataset` keeps no distance matrix: once asked, it keeps each
@@ -90,6 +90,9 @@ KNN_WINDOW = 128
 
 # entries of the temporaries that one row chunk may hold (1 MiB of floats)
 _CHUNK = 1 << 17
+# points per block of FNN running sums: smaller blocks keep fewer sums twice
+# (their diagonal squares) but gather each row from more pieces
+_BLOCK = 256
 
 
 def _row_chunks(m: int, width: int) -> Iterator[slice]:
@@ -164,7 +167,9 @@ def fnn_fractions(series: TimeSeries, d_max: int) -> np.ndarray:
 
     Squared distances are running sums, one squared coordinate difference
     per dimension in coordinate order, so nothing cancels. Each step adds
-    its coordinate and finds the neighbours one row chunk at a time.
+    its coordinate and finds the neighbours one row chunk at a time. The sum
+    for (i, j) equals the one for (j, i) bit for bit, so only about half of
+    the (t-1) x (t-1) sums are kept.
 
     Duplicate points need care: distances up to 1e-9 standard deviations
     count as zero, the lowest-indexed zero-distance candidate is taken, and
@@ -184,22 +189,31 @@ def _false_fractions(series: TimeSeries, d_max: int) -> Iterator[float]:
     y = series.values
     sd = float(np.std(y))
     zero = 1e-9 * sd
-    all_d2 = np.zeros((t - 1, t - 1))
-    np.fill_diagonal(all_d2, np.inf)  # a point is not its own neighbour
+    # block b keeps the running sums of points [a, a + _BLOCK), a = b * _BLOCK,
+    # against the points from a on; as the sums are symmetric, the rest of a
+    # point's row is its column in the blocks above
+    blocks = [np.zeros((min(_BLOCK, t - 1 - a), t - 1 - a)) for a in range(0, t - 1, _BLOCK)]
+    for block in blocks:
+        np.fill_diagonal(block, np.inf)  # a point is not its own neighbour
     for d in range(1, d_max + 1):
         m = t - d  # points present in both the d and d+1 embeddings
         coordinate = y[d - 1 : t - 1]
         has_dup = np.empty(m, dtype=bool)
         nn = np.empty(m, dtype=np.intp)
         d2 = np.empty(m)
-        for rows in _row_chunks(m, m):
-            D2 = all_d2[rows, :m]
-            step = np.subtract.outer(coordinate[rows], coordinate)
-            D2 += np.square(step, out=step)
-            at, nearest = np.arange(D2.shape[0]), np.argmin(D2, axis=1)
-            dup = D2[at, nearest] <= zero * zero  # only then scan for the first zero
-            nearest[dup] = np.argmax(D2[dup] <= zero * zero, axis=1)
-            has_dup[rows], nn[rows], d2[rows] = dup, nearest, D2[at, nearest]
+        for b, a in enumerate(range(0, m, _BLOCK)):
+            for chunk in _row_chunks(min(_BLOCK, m - a), m):
+                rows = slice(a + chunk.start, a + chunk.stop)
+                own = blocks[b][chunk, : m - a]
+                step = np.subtract.outer(coordinate[rows], coordinate[a:m])
+                own += np.square(step, out=step)
+                above = [block[:, rows.start - c * _BLOCK : rows.stop - c * _BLOCK].T
+                         for c, block in enumerate(blocks[:b])]
+                D2 = np.concatenate([*above, own], axis=1)
+                at, nearest = np.arange(D2.shape[0]), np.argmin(D2, axis=1)
+                dup = D2[at, nearest] <= zero * zero  # only then scan for the first zero
+                nearest[dup] = np.argmax(D2[dup] <= zero * zero, axis=1)
+                has_dup[rows], nn[rows], d2[rows] = dup, nearest, D2[at, nearest]
         extra = np.abs(y[d:] - y[nn + d])
         dup_false = has_dup & (extra > zero)
         with np.errstate(divide="ignore", invalid="ignore"):

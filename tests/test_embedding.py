@@ -203,13 +203,15 @@ def test_fnn_fallback_still_warns_after_every_dimension():
 
 
 def test_fnn_matches_brute_force_over_several_row_chunks():
-    y = np.round(50.0 + np.cumsum(np.random.default_rng(22).normal(size=400)), 1)
-    assert (len(y) - 1) ** 2 > embedding._CHUNK  # each step takes two row chunks
+    y = np.round(50.0 + np.cumsum(np.random.default_rng(22).normal(size=800)), 1)
+    assert (len(y) - 1) ** 2 > embedding._CHUNK  # each step takes several row chunks
+    assert len(y) - 1 > 3 * embedding._BLOCK  # and the last block's rows have three above
     lib = fnn_fractions(TimeSeries(y), 3)
     assert lib.tolist() == [brute_fnn_fraction(y.tolist(), d) for d in (1, 2, 3)]
 
 
-def test_fnn_memory_is_one_running_sum_matrix():
+def test_fnn_memory_is_about_half_a_running_sum_matrix():
+    # the upper triangle of the (t-1) x (t-1) sums, in blocks, and row chunks
     t = 2000
     s = TimeSeries(np.random.default_rng(23).normal(size=t))
     tracemalloc.start()
@@ -218,7 +220,7 @@ def test_fnn_memory_is_one_running_sum_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * 8 * (t - 1) ** 2
+    assert peak < 0.75 * 8 * (t - 1) ** 2
 
 
 def test_knn_window_is_read_only_computed_once_and_a_stable_sort():
