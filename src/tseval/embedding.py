@@ -12,7 +12,8 @@ rows) hold about ``_CHUNK`` entries whatever the length of the series.
 and :func:`nearest_columns` is the k-NN neighbour order. An
 :class:`EmbeddedDataset` keeps no distance matrix: once asked, it keeps each
 row's first ``KNN_WINDOW`` columns in that order, built one row chunk at a
-time, which is n x ``KNN_WINDOW`` integers whatever the length of the series.
+time, so it holds ``KNN_WINDOW`` integers a row whatever the length of the
+series.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def _false_fractions(series: TimeSeries, d_max: int) -> Iterator[float]:
                 own += np.square(step, out=step)
                 above = [block[:, rows.start - c * _BLOCK : rows.stop - c * _BLOCK].T
                          for c, block in enumerate(blocks[:b])]
-                D2 = np.concatenate([*above, own], axis=1)
+                D2 = np.concatenate([*above, own], axis=1) if b else own
                 at, nearest = np.arange(D2.shape[0]), np.argmin(D2, axis=1)
                 dup = D2[at, nearest] <= zero * zero  # only then scan for the first zero
                 nearest[dup] = np.argmax(D2[dup] <= zero * zero, axis=1)

@@ -182,7 +182,7 @@ def _knn_predictions(k: int, dataset, train, tests, fold) -> np.ndarray:
         inside = member[row_fold[:, None], window]
         inside &= np.cumsum(inside, axis=1) <= k  # the first k training rows
         found = np.count_nonzero(inside, axis=1) == k
-        out = predictions[rows]
+        out = predictions[rows]  # a view: what is written to it lands in predictions
         out[found] = y[window[found][inside[found]].reshape(-1, k)].mean(axis=1)
         for f in np.unique(row_fold[~found]):  # fewer than k: search the training rows
             lost = ~found & (row_fold == f)
