@@ -8,8 +8,8 @@ running squared distances between the t-1 points once, as the upper
 triangle of their symmetric matrix, and update them in row chunks, so each
 step's temporaries (the squared coordinate differences and the chunk's whole
 rows) hold about ``_CHUNK`` entries whatever the length of the series.
-:func:`squared_distances` is chunked the same way; it is the k-NN metric,
-and :func:`nearest_columns` is the k-NN neighbour order. An
+:func:`squared_distances`, the k-NN metric, is the same running sum, in
+coordinate order; :func:`nearest_columns` is the k-NN neighbour order. An
 :class:`EmbeddedDataset` keeps no distance matrix: once asked, it keeps each
 row's first ``KNN_WINDOW`` columns in that order, built one row chunk at a
 time, so it holds ``KNN_WINDOW`` integers a row whatever the length of the
@@ -89,17 +89,18 @@ class EmbeddedDataset:
 # columns of each row's k-NN neighbour order that a dataset keeps
 KNN_WINDOW = 128
 
-# entries of the temporaries that one row chunk may hold (1 MiB of floats)
+# entries of the temporaries that one row chunk may hold (1 MiB of floats);
+# squared distances take chunks a quarter that size, which stay in cache
 _CHUNK = 1 << 17
 # points per block of FNN running sums: smaller blocks keep fewer sums twice
 # (their diagonal squares) but gather each row from more pieces
 _BLOCK = 256
 
 
-def _row_chunks(m: int, width: int) -> Iterator[slice]:
-    """Consecutive slices over m rows, each covering at most ``_CHUNK``
+def _row_chunks(m: int, width: int, chunk: int = _CHUNK) -> Iterator[slice]:
+    """Consecutive slices over m rows, each covering at most ``chunk``
     entries of a row ``width`` wide (and at least one row)."""
-    step = max(1, _CHUNK // max(1, width))
+    step = max(1, chunk // max(1, width))
     for start in range(0, m, step):
         yield slice(start, min(start + step, m))
 
@@ -107,14 +108,23 @@ def _row_chunks(m: int, width: int) -> Iterator[slice]:
 def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from every row of A to every row of B.
 
-    Each entry is one ``einsum`` reduction of the row difference with
-    itself, whatever the chunking, so an entry does not depend on which
-    other rows share its call.
+    Each entry is FNN's running sum, the squared coordinate differences
+    added in coordinate order, whichever rows share its call. a - b is taken
+    as [a, 1] @ [1, -b]: both terms are exact, so it is rounded once, and a
+    product beats numpy's buffered broadcast subtraction on short rows.
     """
-    out = np.empty((A.shape[0], B.shape[0]))
-    for rows in _row_chunks(A.shape[0], B.size):
-        diff = A[rows, None, :] - B[None, :, :]
-        np.einsum("mnp,mnp->mn", diff, diff, out=out[rows])
+    out = (np.empty if A.shape[1] else np.zeros)((A.shape[0], B.shape[0]))
+    left = np.stack([A.T, np.ones(A.T.shape)], axis=2)
+    right = np.stack([np.ones(B.T.shape), -B.T], axis=1)
+    squares = np.empty(max(_CHUNK // 4, B.shape[0]))
+    for rows in _row_chunks(A.shape[0], B.shape[0], _CHUNK // 4):
+        acc = out[rows]
+        step = squares[: acc.size].reshape(acc.shape)
+        for j in range(A.shape[1]):
+            d = np.matmul(left[j, rows], right[j], out=step if j else acc)
+            np.square(d, out=d)
+            if j:
+                acc += d
     return out
 
 

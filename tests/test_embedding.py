@@ -232,3 +232,36 @@ def test_knn_window_is_read_only_computed_once_and_a_stable_sort():
     D = embedding.squared_distances(ds.predictors, ds.predictors)
     expected = np.argsort(D, axis=1, kind="stable")[:, : embedding.KNN_WINDOW]
     assert np.array_equal(window, expected)
+
+
+def coordinate_loop(A, B):
+    """Squared distances as the running sum over coordinates, in order."""
+    out = np.zeros((A.shape[0], B.shape[0]))
+    for j in range(A.shape[1]):
+        out += (A[:, None, j] - B[None, :, j]) ** 2
+    return out
+
+
+@pytest.mark.parametrize("values", ["normal", "one-decimal", "huge"])
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 12, 30])
+def test_squared_distances_are_the_coordinate_order_running_sum(p, values):
+    rng = np.random.default_rng([25, p])
+    A, B = rng.normal(size=(100, p)), rng.normal(size=(900, p))
+    if values == "one-decimal":
+        A, B = np.round(A, 1), np.round(B, 1)
+    elif values == "huge":  # most squares overflow to inf
+        A, B = 1e154 * A, 1e154 * B
+    assert A.shape[0] * B.shape[0] > 2 * embedding._CHUNK // 4  # several row chunks
+    with np.errstate(over="ignore"):
+        whole = embedding.squared_distances(A, B)
+        assert whole.tobytes() == coordinate_loop(A, B).tobytes()
+        for i in range(A.shape[0]):
+            assert embedding.squared_distances(A[i : i + 1], B).tobytes() == whole[i].tobytes()
+    assert np.isinf(whole).any() == (values == "huge")
+
+
+@pytest.mark.parametrize("m, n, p", [(0, 5, 3), (4, 0, 3), (0, 0, 2), (4, 5, 0)])
+def test_squared_distances_of_empty_inputs(m, n, p):
+    rng = np.random.default_rng(26)
+    dist = embedding.squared_distances(rng.normal(size=(m, p)), rng.normal(size=(n, p)))
+    assert dist.shape == (m, n) and np.all(dist == 0.0)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tseval import (
     EstimationResult,
@@ -81,6 +84,57 @@ def test_method_failure_is_isolated(tmp_path):
         )
     )
     assert alone.results == (outcome.results[0],)
+
+
+def brute_knn(train_X, train_y, test_X, k=5):
+    """Mean target of the k nearest training rows, ties to the lowest index;
+    squared distances add one squared coordinate difference at a time."""
+    dist = np.zeros((test_X.shape[0], train_X.shape[0]))
+    for j in range(train_X.shape[1]):
+        dist += (test_X[:, None, j] - train_X[None, :, j]) ** 2
+    return train_y[np.argsort(dist, axis=1, kind="stable")[:, :k]].mean(axis=1)
+
+
+def brute_knn_losses(values, p):
+    """k-NN's true loss and its Holdout and Preq-Bls estimates at the study
+    defaults, brute force: a 70% estimation part, Holdout training on the
+    first 70% of its rows, and ten prequential blocks."""
+
+    def lagged(v):
+        return sliding_window_view(v, p)[: v.size - p], v[p:]
+
+    def rmse(pred, actual):
+        return float(np.sqrt(np.mean((pred - actual) ** 2)))
+
+    n_est = math.floor(0.7 * values.size)
+    X, y = lagged(values)
+    train = np.arange(p, values.size) < n_est
+    losses = {"true_loss": rmse(brute_knn(X[train], y[train], X[~train]), y[~train])}
+    X, y = lagged(values[:n_est])
+    cut = math.floor(0.7 * y.size)
+    losses["Holdout"] = rmse(brute_knn(X[:cut], y[:cut], X[cut:]), y[cut:])
+    b = np.arange(11) * (y.size // 10) + np.minimum(np.arange(11), y.size % 10)
+    losses["Preq-Bls"] = float(np.mean([
+        rmse(brute_knn(X[:lo], y[:lo], X[lo:hi]), y[lo:hi]) for lo, hi in zip(b[1:-1], b[2:])
+    ]))
+    return losses
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_knn_losses_equal_a_brute_force_coordinate_loop(seed, tmp_path):
+    # one decimal at p = 5 makes distances that tie in exact arithmetic, so
+    # the order in which a distance adds its squares decides the neighbours
+    values = np.round(np.cumsum(np.random.default_rng(seed).normal(size=400)), 1)
+    path = tmp_path / "walk.csv"
+    write_csv(TimeSeries(values, name="walk"), path)
+    outcome = run_experiment(ExperimentConfig(
+        csv_paths=(str(path),), embedding=5, learner=LearnerSpec(kind="knn"),
+        methods=("Holdout", "Preq-Bls"),
+    ))
+    want = brute_knn_losses(values, 5)
+    assert outcome.failures == () and len(outcome.results) == 2
+    for r in outcome.results:
+        assert (r.estimate, r.true_loss) == (want[r.method], want["true_loss"]), r.method
 
 
 def test_derive_seed_is_frozen_and_method_independent():

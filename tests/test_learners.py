@@ -388,10 +388,11 @@ def test_collinear_candidate_columns_leave_the_fold_to_the_path(equal_rows_first
 
 
 def whole_row_knn_predict(model, X):
-    """k-NN predict from one m x n x p difference tensor and a stable sort of
-    every whole row of distances."""
-    diff = X[:, None, :] - model.predictors[None, :, :]
-    dist = np.einsum("mnp,mnp->mn", diff, diff)
+    """k-NN predict from squared distances summed one coordinate at a time,
+    in coordinate order, and a stable sort of every whole row of them."""
+    dist = np.zeros((X.shape[0], model.predictors.shape[0]))
+    for j in range(X.shape[1]):
+        dist += (X[:, None, j] - model.predictors[None, :, j]) ** 2
     nearest = np.argsort(dist, axis=1, kind="stable")[:, : model.k]
     return model.targets[nearest].mean(axis=1)
 
@@ -449,10 +450,13 @@ def _short_windows(ds, plan, k):
 
 
 @pytest.mark.parametrize("k", [1, 5])
-@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 5])
 def test_run_plan_knn_ties_at_the_kth_neighbour(p, k):
-    # one decimal of normal draws puts many rows equally far apart
-    ds = embed(TimeSeries(np.round(np.random.default_rng(12).normal(size=200), 1)), p)
+    # one decimal of normal draws puts many rows equally far apart; at p = 5
+    # the order in which a distance adds its squares decides which rows tie,
+    # and it takes 400 draws for some row to tie at its nearest neighbour
+    size = 400 if p == 5 else 200
+    ds = embed(TimeSeries(np.round(np.random.default_rng(12).normal(size=size), 1)), p)
     assert _tied_at_kth(ds, k)
     assert np.isfinite(squared_distances(ds.predictors, ds.predictors)).all()
     assert_knn_plans_exact(ds, k)
