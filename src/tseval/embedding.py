@@ -108,10 +108,10 @@ def _row_chunks(m: int, width: int, chunk: int = _CHUNK) -> Iterator[slice]:
 def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from every row of A to every row of B.
 
-    Each entry is FNN's running sum, the squared coordinate differences
-    added in coordinate order, whichever rows share its call. a - b is taken
-    as [a, 1] @ [1, -b]: both terms are exact, so it is rounded once, and a
-    product beats numpy's buffered broadcast subtraction on short rows.
+    Each entry is FNN's running sum, the squared coordinate differences added
+    in coordinate order, and no other row of the call changes it. a - b is the
+    product [a, 1] @ [1, -b] of exact terms, rounded once like the subtraction,
+    which numpy's ufunc buffering slows several-fold on rows of ~1000 entries.
     """
     out = (np.empty if A.shape[1] else np.zeros)((A.shape[0], B.shape[0]))
     left = np.stack([A.T, np.ones(A.T.shape)], axis=2)
