@@ -9,11 +9,11 @@ triangle of their symmetric matrix, and update them in row chunks, so each
 step's temporaries (the squared coordinate differences and the chunk's whole
 rows) hold about ``_CHUNK`` entries whatever the length of the series.
 :func:`squared_distances`, the k-NN metric, is the same running sum, in
-coordinate order; :func:`nearest_columns` is the k-NN neighbour order. An
-:class:`EmbeddedDataset` keeps no distance matrix: once asked, it keeps each
-row's first ``KNN_WINDOW`` columns in that order, built one row chunk at a
-time, so it holds ``KNN_WINDOW`` integers a row whatever the length of the
-series.
+coordinate order. :func:`nearest_rows` is the one k-NN neighbour search: it
+orders those distances one row chunk at a time, for k-NN ``predict`` and for
+an :class:`EmbeddedDataset`, which keeps no distance matrix: once asked, it
+keeps each row's first ``KNN_WINDOW`` neighbours, so it holds ``KNN_WINDOW``
+integers a row whatever the length of the series.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = [
     "EmbeddedDataset",
     "embed",
     "squared_distances",
-    "nearest_columns",
+    "nearest_rows",
     "fnn_fractions",
     "estimate_embedding_dimension",
 ]
@@ -75,13 +75,9 @@ class EmbeddedDataset:
     @cached_property
     def knn_window(self) -> np.ndarray:
         """Read-only n x min(``KNN_WINDOW``, n) array, computed on first use:
-        row i holds the first columns of :func:`nearest_columns` for row i's
-        squared distances to every row, which is the order in which k-NN
-        ``predict`` would take them as neighbours."""
-        window = np.empty((self.n, min(KNN_WINDOW, self.n)), dtype=np.intp)
-        for rows in _row_chunks(self.n, self.n):
-            dist = squared_distances(self.predictors[rows], self.predictors)
-            window[rows] = nearest_columns(dist, window.shape[1])
+        row i holds its first :func:`nearest_rows` among every row, which is
+        the order in which k-NN ``predict`` would take them as neighbours."""
+        window = nearest_rows(self.predictors, self.predictors, min(KNN_WINDOW, self.n))
         window.flags.writeable = False
         return window
 
@@ -128,7 +124,17 @@ def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def nearest_columns(dist: np.ndarray, k: int) -> np.ndarray:
+def nearest_rows(A: np.ndarray, B: np.ndarray, k: int) -> np.ndarray:
+    """The k-NN neighbour order: for each row of A, the indices of its first k
+    rows of B by :func:`squared_distances`, ascending, ties to the lowest
+    index. The distances are taken one row chunk of A at a time."""
+    nearest = np.empty((A.shape[0], k), dtype=np.intp)
+    for rows in _row_chunks(A.shape[0], B.shape[0]):
+        nearest[rows] = _nearest_columns(squared_distances(A[rows], B), k)
+    return nearest
+
+
+def _nearest_columns(dist: np.ndarray, k: int) -> np.ndarray:
     """The first k columns of a stable argsort of each row of ``dist``:
     ascending distance, ties to the lowest column.
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddedDataset, _row_chunks, embed, squared_distances
-from .learners import LearnerSpec, check_knn_rows, fit, fit_lasso_folds, knn_average, predict
+from .embedding import EmbeddedDataset, _row_chunks, embed
+from .learners import LearnerSpec, fit, fit_lasso_folds, predict
 from .series import TimeSeries
 from .splitters import ResamplingPlan, build_plan
 
@@ -113,44 +113,50 @@ def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimat
     The lasso fits every training set of the plan at once with
     :func:`~tseval.learners.fit_lasso_folds` (prefix-sum moments, one path run
     per distinct active set and signs, a KKT certificate for the rest) and
-    predicts every test row in one product; the sets it leaves to ``fit``
-    (fewer than two rows, or a column too nearly constant for prefix sums)
-    go through ``fit`` and ``predict`` one by one.
+    predicts every test row in one product.
 
     k-NN predicts the plan's test rows in row chunks from the dataset's
-    ``knn_window``, each row's nearest columns in neighbour order, computed
-    once per dataset: a row's neighbours are the first k of its window that lie
-    in its fold's training runs. A row whose window holds fewer than k of them
-    orders its distances to its fold's training rows, as ``predict`` does. The
-    predictions are those of ``fit`` and ``predict`` fold by fold, byte for
-    byte, and a training set of fewer than k rows raises ``fit``'s error for
-    the first such fold.
+    ``knn_window``, each row's nearest rows in neighbour order, computed once
+    per dataset: a row's neighbours are the first k of its window that lie in
+    its fold's training runs.
+
+    Both leave some test rows to one fallback: the rows of the lasso's
+    folds that ``fit_lasso_folds`` leaves to ``fit`` (fewer than two rows,
+    or a column too nearly constant for prefix sums), and the k-NN rows whose
+    window holds fewer than k of their fold's training rows. Each fold with
+    such rows is fitted once with ``fit`` on its training runs' rows, and
+    ``predict`` runs on those rows only. So the k-NN predictions are those of
+    ``fit`` and ``predict`` fold by fold, byte for byte, and a training set of
+    fewer than k rows raises ``fit``'s error for the first such fold.
 
     The estimate averages per-iteration RMSEs (one error estimate per fold),
     except for Preq-Grow and Preq-Slide, whose squared errors are pooled
     across iterations before taking the root.
     """
-    X, y = dataset.predictors, dataset.targets
+    X, y, train = dataset.predictors, dataset.targets, plan.train
     tests = plan.test.rows()
     bounds = np.concatenate(([0], np.cumsum(plan.test.sizes())))
     fold = np.repeat(np.arange(len(plan.test)), np.diff(bounds))
     if learner.kind == "lasso":
-        folds = fit_lasso_folds(learner, X, y, plan.train)
+        folds = fit_lasso_folds(learner, X, y, train)
         predictions = np.einsum(
             "ij,ij->i", X[tests], folds.coefficients[fold]
         ) + folds.intercepts[fold]
-        refit = np.flatnonzero(~folds.fitted)
-        logger.debug(
-            "run_plan %s: %d folds, %d path runs, %d fallback folds",
-            plan.method, len(plan.test), folds.path_runs, refit.size,
-        )
+        left, path_runs = ~folds.fitted[fold], folds.path_runs
     else:
-        predictions = _knn_predictions(learner.k, dataset, plan.train, tests, fold)
-        refit = ()
-    for i in refit:
-        it = plan.iterations[i]
-        model = fit(learner, X[it.train], y[it.train])
-        predictions[bounds[i] : bounds[i + 1]] = predict(model, X[it.test])
+        predictions, left = _knn_predictions(learner.k, dataset, train, tests, fold)
+        path_runs = 0
+    refit = np.flatnonzero(np.logical_or.reduceat(left, bounds[:-1]))
+    for i in refit.tolist():
+        runs = slice(train.start[i], train.start[i + 1])
+        rows = np.concatenate([np.arange(a, b) for a, b in zip(train.lo[runs], train.hi[runs])])
+        model = fit(learner, X[rows], y[rows])
+        at = bounds[i] + np.flatnonzero(left[bounds[i] : bounds[i + 1]])
+        predictions[at] = predict(model, X[tests[at]])
+    logger.debug(
+        "run_plan %s %s: %d folds, %d path runs, %d fallback folds, %d fallback rows",
+        plan.method, learner.kind, len(plan.test), path_runs, refit.size, np.count_nonzero(left),
+    )
     squares = (predictions - y[tests]) ** 2
     if tests.size == len(plan.test):
         fold_losses = np.sqrt(squares)  # the mean of one square is that square
@@ -163,12 +169,14 @@ def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimat
     return LossEstimate(estimate, tuple(fold_losses.tolist()))
 
 
-def _knn_predictions(k: int, dataset, train, tests, fold) -> np.ndarray:
-    """k-NN prediction of every test row of a plan (see :func:`run_plan`)."""
-    sizes = train.sizes()
-    check_knn_rows(k, int(sizes[np.argmax(sizes < k)]))
-    X, y, n, owner = dataset.predictors, dataset.targets, dataset.n, train.owner()
+def _knn_predictions(k: int, dataset, train, tests, fold) -> tuple[np.ndarray, np.ndarray]:
+    """k-NN predictions of every test row of a plan from the dataset's
+    neighbour window (see :func:`run_plan`), and a mask of the rows whose
+    window holds fewer than k of their fold's training rows; those rows'
+    predictions are left unset."""
+    y, n, owner = dataset.targets, dataset.n, train.owner()
     predictions = np.empty(tests.size)
+    short = np.empty(tests.size, dtype=bool)
     for rows in _row_chunks(tests.size, n):
         first, last = fold[rows.start], fold[rows.stop - 1] + 1
         runs = slice(train.start[first], train.start[last])
@@ -177,19 +185,14 @@ def _knn_predictions(k: int, dataset, train, tests, fold) -> np.ndarray:
         edges[owner[runs] - first, train.lo[runs]] = 1
         edges[owner[runs] - first, train.hi[runs]] = -1
         member = np.cumsum(edges[:, :n], axis=1, dtype=np.int8).astype(bool)
-        row_fold = fold[rows] - first
         window = dataset.knn_window[tests[rows]]
-        inside = member[row_fold[:, None], window]
+        inside = member[fold[rows, None] - first, window]
         inside &= np.cumsum(inside, axis=1) <= k  # the first k training rows
         found = np.count_nonzero(inside, axis=1) == k
+        short[rows] = ~found
         out = predictions[rows]  # a view: what is written to it lands in predictions
         out[found] = y[window[found][inside[found]].reshape(-1, k)].mean(axis=1)
-        for f in np.unique(row_fold[~found]):  # fewer than k: search the training rows
-            lost = ~found & (row_fold == f)
-            columns = np.flatnonzero(member[f])
-            dist = squared_distances(X[tests[rows][lost]], X[columns])
-            out[lost] = knn_average(dist, y[columns], k)
-    return predictions
+    return predictions, short
 
 
 def estimate_loss(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import _row_chunks, nearest_columns, squared_distances
+from .embedding import nearest_rows
 
 __all__ = [
     "LearnerSpec",
@@ -38,8 +38,6 @@ __all__ = [
     "fit",
     "fit_lasso_folds",
     "predict",
-    "check_knn_rows",
-    "knn_average",
     "lambda_max",
     "kkt_violation",
 ]
@@ -400,21 +398,11 @@ def fit(spec: LearnerSpec, predictors, targets) -> LassoModel | KnnModel:
     """Train a learner; see :class:`LearnerSpec` for the configuration."""
     X, y = _validate_xy(predictors, targets)
     if spec.kind == "knn":
-        check_knn_rows(spec.k, X.shape[0])
+        if y.size < spec.k:
+            raise ValueError(
+                f"knn with k={spec.k} needs at least {spec.k} training rows, got {y.size}")
         return KnnModel(X.copy(), y.copy(), spec.k)
     return _fit_lasso(spec, X, y)
-
-
-def check_knn_rows(k: int, rows: int) -> None:
-    """Refuse a k-NN training set of fewer than k rows."""
-    if rows < k:
-        raise ValueError(f"knn with k={k} needs at least {k} training rows, got {rows}")
-
-
-def knn_average(dist: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
-    """Mean of ``targets`` over each row's first k columns of
-    :func:`~tseval.embedding.nearest_columns`, taken in that order."""
-    return targets[nearest_columns(dist, k)].mean(axis=1)
 
 
 def predict(model: LassoModel | KnnModel, predictors) -> np.ndarray:
@@ -424,11 +412,7 @@ def predict(model: LassoModel | KnnModel, predictors) -> np.ndarray:
         raise ValueError(f"model expects {model.p} predictors, got {X.shape[1]}")
     if isinstance(model, LassoModel):
         return X @ model.coefficients + model.intercept
-    out = np.empty(X.shape[0])
-    for rows in _row_chunks(X.shape[0], model.targets.size):
-        dist = squared_distances(X[rows], model.predictors)
-        out[rows] = knn_average(dist, model.targets, model.k)
-    return out
+    return model.targets[nearest_rows(X, model.predictors, model.k)].mean(axis=1)
 
 
 def kkt_violation(model: LassoModel, predictors, targets) -> float:

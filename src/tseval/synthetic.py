@@ -59,14 +59,14 @@ class DGPSpec:
     def __post_init__(self) -> None:
         if self.kind not in DGP_KINDS:
             raise ValueError(f"kind must be one of {DGP_KINDS}, got {self.kind!r}")
-        if not self.r > 1.1:
-            raise ValueError("root bound r must exceed 1.1")
+        if not 1.1 < self.r < np.inf:
+            raise ValueError("root bound r must exceed 1.1 and be finite")
         if self.length < 20:
             raise ValueError("length must be >= 20")
         if self.burn_in < 0:
             raise ValueError("burn_in must be non-negative")
-        if not self.innovation_sd > 0:
-            raise ValueError("innovation_sd must be positive")
+        if not 0 < self.innovation_sd < np.inf:
+            raise ValueError("innovation_sd must be positive and finite")
 
 
 def sample_roots(count: int, r: float, rng: np.random.Generator) -> np.ndarray:
@@ -76,8 +76,8 @@ def sample_roots(count: int, r: float, rng: np.random.Generator) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not r > 1.1:
-        raise ValueError("root bound r must exceed 1.1")
+    if not 1.1 < r < np.inf:
+        raise ValueError("root bound r must exceed 1.1 and be finite")
     magnitude = rng.uniform(1.1, r, size=count)
     sign = np.where(rng.random(count) < 0.5, -1.0, 1.0)
     return sign * magnitude

@@ -59,11 +59,18 @@ def test_simulate_requires_some_output():
     assert run_cli("simulate", "--dgp", "s1") == 1
 
 
-@pytest.mark.parametrize("sd", ["nan", "0", "-1"])
+@pytest.mark.parametrize("sd", ["nan", "0", "-1", "inf"])
 def test_simulate_rejects_a_bad_innovation_sd(tmp_path, caplog, sd):
     out = tmp_path / "o.csv"
     assert run_cli("simulate", "--dgp", "s1", "--innovation-sd", sd, "--long-csv", str(out)) == 1
     assert "innovation_sd must be positive" in caplog.text
+    assert not out.exists()
+
+
+def test_simulate_rejects_an_infinite_root_bound(tmp_path, caplog):
+    out = tmp_path / "o.csv"
+    assert run_cli("simulate", "--dgp", "s1", "--root-bound", "inf", "--long-csv", str(out)) == 1
+    assert "root bound r must exceed 1.1" in caplog.text
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import logging
 import re
 import tracemalloc
 import warnings
@@ -318,7 +319,7 @@ def test_shift_series_needs_more_than_one_path_run():
         assert kkt_violation(model, X, y) <= 1e-5
 
 
-def test_nearly_constant_column_falls_back_to_fit():
+def test_nearly_constant_column_falls_back_to_fit(caplog):
     # a flat stretch makes both lag columns constant on the third
     # Preq-Sld-Bls training block: that fold goes through fit, which zeroes
     # the constant columns exactly
@@ -329,9 +330,13 @@ def test_nearly_constant_column_falls_back_to_fit():
     folds = fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, plan.train)
     assert np.flatnonzero(~folds.fitted).tolist() == [2]
     assert np.isnan(folds.coefficients[2]).all()
+    caplog.set_level(logging.DEBUG, logger="tseval")
     got = run_plan(plan, ds, LearnerSpec())
+    assert "iterations" not in vars(plan)  # the fallback reads the train runs
+    assert f"1 fallback folds, {plan.test.sizes()[2]} fallback rows" in caplog.text
     estimate, losses = per_fold_losses(plan, ds, LearnerSpec())
     assert got.estimate == pytest.approx(estimate, rel=1e-9)
+    assert got.fold_losses[2] == losses[2]  # the same fit and predict
     assert got.fold_losses == pytest.approx(losses, rel=1e-9)
 
 
@@ -471,11 +476,17 @@ def test_run_plan_knn_ties_at_the_window_edge():
         assert_knn_plans_exact(ds, k)
 
 
-def test_run_plan_knn_holdout_rows_beyond_the_window():
+def test_run_plan_knn_holdout_rows_beyond_the_window(caplog):
     # its 240 test rows outnumber the window, and a drifting walk's last rows
     # lie far from every row the holdout trains on
     ds = embed(TimeSeries(_walk(np.random.default_rng(19), 800)), 2)
-    assert _short_windows(ds, build_plan("Holdout", ds.n, p=2), 5) > 0
+    plan = build_plan("Holdout", ds.n, p=2)
+    caplog.set_level(logging.DEBUG, logger="tseval")
+    run_plan(plan, ds, LearnerSpec(kind="knn", k=5))
+    assert "iterations" not in vars(plan)  # the fallback reads the train runs
+    short = _short_windows(ds, plan, 5)
+    assert short > 0
+    assert f"1 fallback folds, {short} fallback rows" in caplog.text
     assert_knn_plans_exact(ds, 5)
 
 

@@ -45,6 +45,8 @@ def test_sample_roots_validation():
         sample_roots(0, 5.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         sample_roots(3, 1.1, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sample_roots(3, np.inf, np.random.default_rng(0))
 
 
 def test_roots_to_coefficients_hand_expansion():
