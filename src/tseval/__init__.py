@@ -80,10 +80,8 @@ from .synthetic import (
     reference_deaths_series,
     roots_to_ar_coefficients,
     sample_roots,
+    simulate,
     simulate_ma1,
-    simulate_s1,
-    simulate_s2,
-    simulate_s3,
 )
 
 __version__ = "0.1.0"

@@ -50,11 +50,12 @@ from .learners import LearnerSpec
 from .series import load_csv, write_csv
 from .splitters import METHODS
 from .stationarity import ndiffs, wavelet_stationarity_test
-from .synthetic import DGPSpec, monte_carlo
+from .synthetic import DGP_KINDS, DGPSpec, monte_carlo
 
 logger = logging.getLogger("tseval")
 
 SYNTHETIC_EMBEDDING_DIM = 5  # the synthetic study embeds with 5 lags instead of FNN
+_ROPE_HELP = "half-width of the practical-equivalence region, in percent"
 
 
 def _column(text: str):
@@ -117,7 +118,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     registry: dict[str, argparse.ArgumentParser] = {}
 
     sim = add_parser("simulate", help="draw synthetic series and write them as CSV")
-    sim.add_argument("--dgp", choices=("s1", "s2", "s3"), required=True)
+    sim.add_argument("--dgp", choices=DGP_KINDS, required=True)
     sim.add_argument("--trials", type=int, default=1)
     sim.add_argument("--length", type=int, default=200)
     sim.add_argument("--seed", type=int, default=1)
@@ -149,7 +150,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     registry["evaluate"] = ev
 
     bm = add_parser("benchmark", help="synthetic estimator-accuracy study")
-    bm.add_argument("--dgp", choices=("s1", "s2", "s3"), required=True)
+    bm.add_argument("--dgp", choices=DGP_KINDS, required=True)
     bm.add_argument("--trials", type=int, default=200)
     bm.add_argument("--length", type=int, default=200)
     bm.add_argument("--seed", type=int, default=1)
@@ -158,8 +159,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     bm.add_argument("--nreps", type=int, default=10)
     _add_learner_flags(bm)
     bm.add_argument("--baseline", default="Rep-Holdout")
-    bm.add_argument("--rope", type=float, default=2.5,
-                    help="half-width of the practical-equivalence region, in percent")
+    bm.add_argument("--rope", type=float, default=2.5, help=_ROPE_HELP)
     bm.add_argument("--no-compare", action="store_true")
     bm.add_argument("--out", required=True, help="results CSV path")
     bm.add_argument("--ranks", help="optional rank-table CSV path")
@@ -173,7 +173,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     cp = add_parser("compare", help="Bayes sign test of methods against a baseline")
     cp.add_argument("--results", required=True)
     cp.add_argument("--baseline", default="Rep-Holdout")
-    cp.add_argument("--rope", type=float, default=2.5)
+    cp.add_argument("--rope", type=float, default=2.5, help=_ROPE_HELP)
     cp.add_argument("--prior-strength", type=float, default=1.0)
     cp.add_argument("--normalization", choices=("loss", "none"), default="loss")
     cp.add_argument("--out", help="CSV path; stdout when omitted")
@@ -329,7 +329,7 @@ def _cmd_benchmark(args) -> int:
     outcome = run_experiment(config)
     comparisons = []
     if not args.no_compare and args.baseline in config.methods and outcome.results:
-        comparisons = compare_to_baseline(outcome.results, args.baseline, (-args.rope, args.rope))
+        comparisons = compare_to_baseline(outcome.results, args.baseline, args.rope)
     code = _finish_experiment(outcome, args)
     if comparisons:
         sys.stdout.write(comparisons_csv(comparisons))
@@ -354,7 +354,7 @@ def _cmd_compare(args) -> int:
     _check_bayes_flags(args.rope, args.prior_strength)
     results = read_results_csv(args.results)
     comparisons = compare_to_baseline(
-        results, args.baseline, (-args.rope, args.rope), args.prior_strength, args.normalization
+        results, args.baseline, args.rope, args.prior_strength, args.normalization
     )
     _write(comparisons_csv(comparisons), args.out)
     return 0
@@ -391,16 +391,14 @@ def _cmd_embed(args) -> int:
         )
     else:
         p = int(args.p)
+    dataset = embed_rows(series, p)  # checks p before anything is printed
     print(f"p={p}")
     if args.out:
-        dataset = embed_rows(series, p)
         with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
             headers = ["target_time"] + [f"x{i + 1}" for i in range(p)] + ["y"]
             fh.write(",".join(headers) + "\n")
-            for row, target, tt in zip(
-                dataset.predictors, dataset.targets, dataset.target_time
-            ):
-                cells = [str(int(tt))] + [repr(float(v)) for v in row] + [repr(float(target))]
+            for row, (x, target) in enumerate(zip(dataset.predictors, dataset.targets)):
+                cells = [str(row + p)] + [repr(float(v)) for v in x] + [repr(float(target))]
                 fh.write(",".join(cells) + "\n")
     return 0
 

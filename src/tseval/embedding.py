@@ -43,28 +43,24 @@ __all__ = [
 class EmbeddedDataset:
     """Lagged predictor matrix with aligned targets.
 
-    Row k holds predictors (y_k, ..., y_{k+p-1}) and target y_{k+p};
-    ``target_time`` maps each row to the source index of its target.
+    Row k of :func:`embed`'s output holds predictors (y_k, ..., y_{k+p-1})
+    and target y_{k+p}, so its target's source index is k + p.
     """
 
     predictors: np.ndarray
     targets: np.ndarray
-    target_time: np.ndarray
     p: int
 
     def __post_init__(self) -> None:
         X = np.ascontiguousarray(self.predictors, dtype=float)
         y = np.asarray(self.targets, dtype=float)
-        tt = np.asarray(self.target_time, dtype=int)
         if X.ndim != 2 or X.shape[1] != self.p:
             raise ValueError(f"predictors must be n x {self.p}, got {X.shape}")
-        if y.shape != (X.shape[0],) or tt.shape != (X.shape[0],):
-            raise ValueError("targets/target_time must have one entry per row")
+        if y.shape != (X.shape[0],):
+            raise ValueError("targets must have one entry per row")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise ValueError("predictors and targets must be finite")
-        if X.shape[0] >= 2 and not np.all(np.diff(tt) > 0):
-            raise ValueError("target_time must be strictly increasing")
-        for arr, field in ((X, "predictors"), (y, "targets"), (tt, "target_time")):
+        for arr, field in ((X, "predictors"), (y, "targets")):
             arr.flags.writeable = False
             object.__setattr__(self, field, arr)
 
@@ -159,12 +155,7 @@ def embed(series: TimeSeries, p: int) -> EmbeddedDataset:
         raise ValueError(f"series length {t} must exceed embedding dimension {p}")
     y = series.values
     X = sliding_window_view(y, p)[: t - p]
-    return EmbeddedDataset(
-        predictors=X.copy(),
-        targets=y[p:].copy(),
-        target_time=np.arange(p, t),
-        p=p,
-    )
+    return EmbeddedDataset(predictors=X.copy(), targets=y[p:].copy(), p=p)
 
 
 # FNN false-neighbour tests: a pair is false when the extra coordinate grows

@@ -219,7 +219,8 @@ def true_loss(
 ) -> float:
     """Ground-truth loss: train on every row whose target falls in the
     estimation part, test on every row whose target falls in the validation
-    part (their predictors may reach back into the estimation part)."""
+    part (their predictors may reach back into the estimation part). Row k
+    of the embedding targets y_{k+p}, so the first n_est - p rows train."""
     n_est = len(estimation_series)
     if n_est <= p:
         raise ValueError(f"estimation part must be longer than p={p}")
@@ -228,10 +229,9 @@ def true_loss(
         name=estimation_series.name,
     )
     dataset = embed(full, p)
-    in_est = dataset.target_time < n_est
-    model = fit(learner, dataset.predictors[in_est], dataset.targets[in_est])
-    predictions = predict(model, dataset.predictors[~in_est])
-    return rmse(predictions, dataset.targets[~in_est])
+    X, y, train = dataset.predictors, dataset.targets, n_est - p
+    model = fit(learner, X[:train], y[:train])
+    return rmse(predict(model, X[train:]), y[train:])
 
 
 @dataclass(frozen=True)
@@ -299,13 +299,11 @@ def _p_largest(a: int, m: float, b: int) -> float:
 
 
 def bayes_sign_test(
-    differences,
-    rope_low: float = -2.5,
-    rope_high: float = 2.5,
-    prior_strength: float = 1.0,
+    differences, rope: float = 2.5, prior_strength: float = 1.0
 ) -> BayesSignResult:
     """Posterior probabilities that differences concentrate left of, inside,
-    or right of the practical-equivalence region (Benavoli et al. 2017).
+    or right of the practical-equivalence region [-rope, rope], so ``rope`` is
+    its half-width (Benavoli et al. 2017).
 
     With region counts n_L, n_rope, n_R and M = n_rope + ``prior_strength``,
     each probability is the exact chance that its share of a Dirichlet(n_L,
@@ -324,14 +322,14 @@ def bayes_sign_test(
     diffs = np.asarray(differences, dtype=float)
     if diffs.size < 1:
         raise ValueError("need at least one difference")
-    if not rope_low < rope_high:
-        raise ValueError("rope_low must be below rope_high")
+    if not rope > 0:
+        raise ValueError("rope must be positive")
     if not 0.0 <= prior_strength < math.inf:
         raise ValueError("prior_strength must be finite and non-negative")
     counts = (
-        int(np.count_nonzero(diffs < rope_low)),
-        int(np.count_nonzero((diffs >= rope_low) & (diffs <= rope_high))),
-        int(np.count_nonzero(diffs > rope_high)),
+        int(np.count_nonzero(diffs < -rope)),
+        int(np.count_nonzero(np.abs(diffs) <= rope)),
+        int(np.count_nonzero(diffs > rope)),
     )
     n_left, m, n_right = counts[0], counts[1] + prior_strength, counts[2]
     left = max(_p_largest(n_left, m, n_right), 0.0)

@@ -195,7 +195,7 @@ def results_rank_table(results, methods) -> RankTable | None:
 def compare_to_baseline(
     results,
     baseline: str = "Rep-Holdout",
-    rope: tuple[float, float] = (-2.5, 2.5),
+    rope: float = 2.5,
     prior_strength: float = 1.0,
     normalization: str = "loss",
 ) -> list[MethodComparison]:
@@ -204,7 +204,9 @@ def compare_to_baseline(
     Per problem, the compared quantity is APAE_method - APAE_baseline,
     expressed as a percentage of the true loss when ``normalization`` is
     ``"loss"`` (so the ROPE reads in percent), or raw with ``"none"``.
-    ``p_left`` is the probability that the method beats the baseline.
+    ``rope`` is the half-width of the practical-equivalence region
+    [-rope, rope]. ``p_left`` is the probability that the method beats the
+    baseline.
     """
     if normalization not in ("loss", "none"):
         raise ValueError("normalization must be 'loss' or 'none'")
@@ -232,7 +234,7 @@ def compare_to_baseline(
             diffs.append(delta)
         if not diffs:
             continue
-        outcome = bayes_sign_test(diffs, rope[0], rope[1], prior_strength)
+        outcome = bayes_sign_test(diffs, rope, prior_strength)
         comparisons.append(MethodComparison(method, baseline, outcome))
     return comparisons
 

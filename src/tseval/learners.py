@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,16 +52,16 @@ class LearnerSpec:
     0.01 * lambda_max of the training fold, so the model is close to an
     ordinary least-squares fit without ever being ill-posed.
 
-    ``tol`` is the acceptance test: a fit whose KKT residual (see
-    :func:`kkt_violation`) exceeds 10 * tol, or whose path needs more than
-    ``MAX_ITER`` breakpoints (a coefficient joining or leaving the active
-    set), warns with a ``UserWarning``. k-NN ignores it.
+    ``tol`` is the fixed acceptance test, not a field: a fit whose KKT
+    residual (see :func:`kkt_violation`) exceeds 10 * tol, or whose path
+    needs more than ``MAX_ITER`` breakpoints (a coefficient joining or leaving
+    the active set), warns with a ``UserWarning``. k-NN ignores it.
     """
 
     kind: str = "lasso"
     lam: float | None = None
     k: int = 5
-    tol: float = 1e-6
+    tol: ClassVar[float] = 1e-6
 
     def __post_init__(self) -> None:
         if self.kind not in ("lasso", "knn"):
@@ -69,8 +70,6 @@ class LearnerSpec:
             raise ValueError("lam must be non-negative")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,10 +172,10 @@ def _lasso_path(
     """
     beta = np.zeros(c.size)
     magnitude = np.where(live, np.abs(c), 0.0)
-    first = int(np.argmax(magnitude))
-    level = float(magnitude[first])  # lambda_max: beta = 0 down to here
+    level = float(np.max(magnitude, initial=0.0))  # lambda_max: beta = 0 down to here
     if level <= lam:
         return beta, True
+    first = int(np.argmax(magnitude))
     active = [first]
     # rows [c_j, s_j, G_j]: the right-hand sides of the active system
     rows = np.column_stack([c, np.zeros_like(c), G])
@@ -244,31 +243,21 @@ def _path_solution(
 
 
 def _fit_lasso(spec: LearnerSpec, X: np.ndarray, y: np.ndarray) -> LassoModel:
-    n, p = X.shape
+    p = X.shape[1]
     mu, sigma, G, c = _standardized_gram(X, y)
     live = sigma > 0
     scales = np.where(live, sigma, 1.0)
-    ybar = float(y.mean())
-    if n < 2 or not live.any():
-        return LassoModel(
-            p=p,
-            coefficients=np.zeros(p),
-            intercept=ybar,
-            std_coefficients=np.zeros(p),
-            column_means=mu,
-            column_scales=scales,
-            lam=spec.lam or 0.0,
-        )
     lam = spec.lam
     if lam is None:
-        lam = 0.01 * float(np.max(np.abs(c)))
-
+        lam = 0.01 * float(np.max(np.abs(c), initial=0.0))
+    # with fewer than two rows, no columns or only constant ones, c is zero, and the
+    # path returns the intercept-only model
     beta = _path_solution(spec, G, c, lam, live)
     coef = beta / scales
     return LassoModel(
         p=p,
         coefficients=coef,
-        intercept=ybar - float(coef @ mu),
+        intercept=float(y.mean()) - float(coef @ mu),
         std_coefficients=beta,
         column_means=mu,
         column_scales=scales,

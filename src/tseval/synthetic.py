@@ -1,6 +1,7 @@
 """Synthetic data-generating processes and the Monte Carlo driver.
 
-Three stationary generators:
+:func:`simulate` draws a series from one of three stationary generators
+(``DGP_KINDS``):
 
 * S1: auto-regressive process of order 3,
 * S2: invertible moving-average process of order 1,
@@ -27,6 +28,7 @@ import numpy as np
 from .series import TimeSeries, load_csv
 
 __all__ = [
+    "DGP_KINDS",
     "DGPSpec",
     "sample_roots",
     "roots_to_ar_coefficients",
@@ -36,9 +38,6 @@ __all__ = [
     "fit_seasonal_ar",
     "default_s3_coefficients",
     "reference_deaths_series",
-    "simulate_s1",
-    "simulate_s2",
-    "simulate_s3",
     "simulate",
     "monte_carlo",
     "derive_seed",
@@ -135,42 +134,22 @@ def positivize(series: TimeSeries) -> TimeSeries:
     return TimeSeries(values, series.name)
 
 
-def draw_s1_coefficients(spec: DGPSpec, rng: np.random.Generator) -> np.ndarray:
-    """AR(3) coefficients from three freshly sampled roots."""
-    return roots_to_ar_coefficients(sample_roots(3, spec.r, rng))
-
-
-def draw_s2_theta(spec: DGPSpec, rng: np.random.Generator) -> float:
-    """MA(1) coefficient theta = -1/z0 for a sampled root z0 of 1 + theta*z."""
-    z0 = float(sample_roots(1, spec.r, rng)[0])
-    return -1.0 / z0
-
-
-def simulate_s1(spec: DGPSpec, rng: np.random.Generator) -> TimeSeries:
-    phi = draw_s1_coefficients(spec, rng)
-    y = simulate_ar(phi, spec.length, rng, spec.burn_in, spec.innovation_sd)
-    return positivize(TimeSeries(y, name="s1"))
-
-
-def simulate_s2(spec: DGPSpec, rng: np.random.Generator) -> TimeSeries:
-    theta = draw_s2_theta(spec, rng)
-    y = simulate_ma1(theta, spec.length, rng, spec.burn_in, spec.innovation_sd)
-    return positivize(TimeSeries(y, name="s2"))
-
-
-def simulate_s3(spec: DGPSpec, rng: np.random.Generator) -> TimeSeries:
-    intercept, seasonal = default_s3_coefficients()
-    phi = np.zeros(SEASONAL_PERIOD)
-    phi[-1] = seasonal
-    y = simulate_ar(phi, spec.length, rng, spec.burn_in, spec.innovation_sd, intercept)
-    return positivize(TimeSeries(y, name="s3"))
-
-
-_SIMULATORS = {"s1": simulate_s1, "s2": simulate_s2, "s3": simulate_s3}
-
-
-def simulate(spec: DGPSpec, rng: np.random.Generator) -> TimeSeries:
-    return _SIMULATORS[spec.kind](spec, rng)
+def simulate(spec: DGPSpec, rng: np.random.Generator, name: str | None = None) -> TimeSeries:
+    """One positivized series of ``spec.kind``, named ``name`` (the kind when
+    None). S1 draws its AR(3) coefficients from three sampled roots; S2 takes
+    theta = -1/z0 for one sampled root z0 of 1 + theta z."""
+    if spec.kind == "s2":
+        theta = -1.0 / float(sample_roots(1, spec.r, rng)[0])
+        y = simulate_ma1(theta, spec.length, rng, spec.burn_in, spec.innovation_sd)
+    else:
+        if spec.kind == "s1":
+            phi, intercept = roots_to_ar_coefficients(sample_roots(3, spec.r, rng)), 0.0
+        else:
+            intercept, seasonal = default_s3_coefficients()
+            phi = np.zeros(SEASONAL_PERIOD)
+            phi[-1] = seasonal
+        y = simulate_ar(phi, spec.length, rng, spec.burn_in, spec.innovation_sd, intercept)
+    return positivize(TimeSeries(y, spec.kind if name is None else name))
 
 
 def fit_seasonal_ar(series: TimeSeries) -> np.ndarray:
@@ -219,5 +198,4 @@ def monte_carlo(dgp: DGPSpec, trials: int, base_seed: int):
         raise ValueError("trials must be >= 1")
     for trial in range(trials):
         rng = np.random.default_rng(derive_seed(base_seed, "trial", trial))
-        series = simulate(dgp, rng)
-        yield TimeSeries(series.values, name=f"{dgp.kind}-{trial:04d}")
+        yield simulate(dgp, rng, f"{dgp.kind}-{trial:04d}")

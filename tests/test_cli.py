@@ -274,6 +274,20 @@ def test_embed_subcommand(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "target_time,x1,x2,x3,x4,y"
     assert len(lines) == 1 + 26
+    assert lines[1] == "4,0.0,1.0,2.0,3.0,4.0"  # row k targets y_{k+p}
+    assert lines[-1].startswith("29,")
+
+
+@pytest.mark.parametrize("p", ["0", "-3", "30", "31"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_embed_rejects_a_bad_dimension_before_printing(tmp_path, capsys, p, to_file):
+    series_path = tmp_path / "s.csv"
+    write_csv(TimeSeries(np.arange(30.0), name="s"), series_path)
+    out = tmp_path / "rows.csv"
+    flags = ["--out", str(out)] if to_file else []
+    assert run_cli("embed", "--csv", str(series_path), "--p", p, *flags) == 1
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
 
 
 def test_config_file_supplies_flags(tmp_path, capsys):

@@ -48,7 +48,6 @@ def test_embed_small_example():
     ds = embed(TimeSeries([1, 2, 3, 4, 5]), 2)
     assert ds.predictors.tolist() == [[1, 2], [2, 3], [3, 4]]
     assert ds.targets.tolist() == [3, 4, 5]
-    assert ds.target_time.tolist() == [2, 3, 4]
 
 
 def test_embed_minimal():
@@ -74,9 +73,9 @@ def test_embedded_dataset_rejects_non_finite_values():
     # dataset itself refuses what fit would refuse
     X, y = np.ones((4, 2)), np.ones(4)
     with pytest.raises(ValueError, match="finite"):
-        EmbeddedDataset(np.where(np.eye(4, 2), np.nan, X), y, np.arange(4), 2)
+        EmbeddedDataset(np.where(np.eye(4, 2), np.nan, X), y, 2)
     with pytest.raises(ValueError, match="finite"):
-        EmbeddedDataset(X, np.array([1.0, np.inf, 1.0, 1.0]), np.arange(4), 2)
+        EmbeddedDataset(X, np.array([1.0, np.inf, 1.0, 1.0]), 2)
 
 
 def test_embed_consecutive_rows_overlap():
@@ -164,7 +163,7 @@ def test_fnn_ar3_distribution_frozen():
     distribution below was computed once with the brute-force oracle
     settings and is frozen as the contract.
     """
-    from tseval.synthetic import DGPSpec, simulate_s1
+    from tseval.synthetic import DGPSpec, simulate
 
     spec = DGPSpec(kind="s1")
     counts = {}
@@ -173,7 +172,7 @@ def test_fnn_ar3_distribution_frozen():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for seed in range(100):
-            series = simulate_s1(spec, np.random.default_rng(seed))
+            series = simulate(spec, np.random.default_rng(seed))
             d = estimate_embedding_dimension(series, d_max=10)
             counts[d] = counts.get(d, 0) + 1
     assert counts == {3: 3, 4: 10, 5: 1, 10: 86}

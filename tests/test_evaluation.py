@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from test_learners import _fold_models
 from tseval import (
     EstimationResult,
     LearnerSpec,
@@ -19,8 +20,12 @@ from tseval import (
     build_plan,
     embed,
     estimate_loss,
+    evaluation,
+    fit,
+    kkt_violation,
     pae,
     pct_diff,
+    predict,
     rmse,
     run_plan,
     true_loss,
@@ -121,8 +126,13 @@ def linear_series(n=40):
 
 
 def test_estimate_loss_zero_on_perfectly_learnable_series():
-    out = estimate_loss(embed(linear_series(), 3), "Holdout", LearnerSpec(lam=0.0, tol=1e-12))
+    ds, spec = embed(linear_series(), 3), LearnerSpec(lam=0.0)
+    out = estimate_loss(ds, "Holdout", spec)
     assert out.estimate == pytest.approx(0.0, abs=1e-8)
+    folds, models = _fold_models(spec, ds, build_plan("Holdout", ds.n, p=3))
+    assert folds.fitted.all()
+    for model, X, y in models:
+        assert kkt_violation(model, X, y) <= 1e-11
 
 
 def test_estimate_loss_single_iteration_equals_fold_loss():
@@ -214,17 +224,25 @@ def test_estimate_loss_iteration_order_does_not_matter():
 def test_true_loss_zero_on_perfectly_learnable_series():
     est = linear_series(30)
     val = TimeSeries(np.arange(30.0, 42.0))
-    assert true_loss(est, val, LearnerSpec(lam=0.0, tol=1e-12), p=3) == pytest.approx(0.0, abs=1e-8)
+    spec = LearnerSpec(lam=0.0)
+    assert true_loss(est, val, spec, p=3) == pytest.approx(0.0, abs=1e-8)
+    ds = embed(est, 3)  # the rows whose targets lie in the estimation part
+    assert kkt_violation(fit(spec, ds.predictors, ds.targets), ds.predictors, ds.targets) <= 1e-11
 
 
-def test_true_loss_tests_every_validation_point():
-    # row bookkeeping: the concatenated embedding has one test row per
-    # validation observation
+def test_true_loss_tests_every_validation_point(monkeypatch):
+    # trains on the rows whose targets lie in the estimation part, and
+    # predicts one row per validation observation, from the p values before it
     est = TimeSeries(np.random.default_rng(1).normal(size=14))
     val = TimeSeries(np.random.default_rng(2).normal(size=6))
-    full = TimeSeries(np.concatenate([est.values, val.values]))
-    ds = embed(full, 3)
-    assert int(np.sum(ds.target_time >= len(est))) == len(val)
+    full = np.concatenate([est.values, val.values])
+    seen = []
+    monkeypatch.setattr(evaluation, "fit", lambda spec, X, y: seen.append(y) or fit(spec, X, y))
+    monkeypatch.setattr(evaluation, "predict", lambda model, X: seen.append(X) or predict(model, X))
+    true_loss(est, val, LearnerSpec(), p=3)
+    trained, predicted = seen
+    assert trained.tolist() == est.values[3:].tolist()
+    assert predicted.tolist() == [full[t - 3 : t].tolist() for t in range(14, 20)]
 
 
 def test_true_loss_matches_knn_hand_computation():
@@ -275,11 +293,17 @@ def test_bayes_sign_test_permutation_invariant():
 def test_bayes_sign_test_validation():
     with pytest.raises(ValueError):
         bayes_sign_test([])
-    with pytest.raises(ValueError):
-        bayes_sign_test([1.0], rope_low=2.0, rope_high=-2.0)
+    for rope in (0.0, -2.0, math.nan):
+        with pytest.raises(ValueError):
+            bayes_sign_test([1.0], rope=rope)
     for prior in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             bayes_sign_test([1.0], prior_strength=prior)
+
+
+def test_bayes_sign_test_rope_is_closed_and_symmetric():
+    result = bayes_sign_test([-2.6, -2.5, 0.0, 2.5, 2.6, 3.0], rope=2.5)
+    assert result.counts == (1, 3, 2)
 
 
 def _quad_largest(shape, others):

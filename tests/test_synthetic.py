@@ -16,12 +16,10 @@ from tseval import (
     reference_deaths_series,
     roots_to_ar_coefficients,
     sample_roots,
+    simulate,
     simulate_ma1,
-    simulate_s1,
-    simulate_s2,
-    simulate_s3,
 )
-from tseval.synthetic import derive_seed, draw_s2_theta
+from tseval.synthetic import DGP_KINDS, derive_seed, simulate_ar
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "s3_coefficients.json").read_text())
 
@@ -93,11 +91,25 @@ def test_series_minimum_exactly_one(kind):
         assert series.values.min() == 1.0
 
 
-def test_s2_theta_is_invertible():
-    spec = DGPSpec(kind="s2")
-    rng = np.random.default_rng(5)
-    thetas = [draw_s2_theta(spec, rng) for _ in range(500)]
-    assert all(0.2 - 1e-12 <= abs(t) <= 1 / 1.1 + 1e-12 for t in thetas)
+@pytest.mark.parametrize("kind", DGP_KINDS)
+def test_simulate_replays_its_generator(kind):
+    # one seed drives the coefficient draw, the recursion and the shift, in
+    # that order; S2's theta = -1/z0 is invertible for every root drawn
+    spec = DGPSpec(kind=kind, length=40, burn_in=25)
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        if kind == "s1":
+            y = simulate_ar(roots_to_ar_coefficients(sample_roots(3, spec.r, rng)), 40, rng, 25)
+        elif kind == "s2":
+            theta = -1.0 / float(sample_roots(1, spec.r, rng)[0])
+            assert 0.2 - 1e-12 <= abs(theta) <= 1 / 1.1 + 1e-12
+            y = simulate_ma1(theta, 40, rng, 25)
+        else:
+            intercept, seasonal = default_s3_coefficients()
+            y = simulate_ar([0.0] * 11 + [seasonal], 40, rng, 25, intercept=intercept)
+        got = simulate(spec, np.random.default_rng(seed))
+        assert got.name == kind
+        assert got.values.tobytes() == positivize(TimeSeries(y)).values.tobytes()
 
 
 def test_ma1_autocorrelation_matches_formula():
@@ -158,7 +170,7 @@ def test_fit_seasonal_ar_too_short():
 
 def test_s3_is_the_fitted_seasonal_recursion():
     intercept, seasonal = default_s3_coefficients()
-    series = simulate_s3(DGPSpec(kind="s3", length=60, burn_in=30), np.random.default_rng(4))
+    series = simulate(DGPSpec(kind="s3", length=60, burn_in=30), np.random.default_rng(4))
     eps = np.random.default_rng(4).normal(size=12 + 30 + 60)
     y = np.zeros(eps.size)
     for t in range(12, y.size):
@@ -186,8 +198,8 @@ def test_monte_carlo_deterministic_and_seed_derivation():
         assert np.array_equal(x, y)
     assert derive_seed(9, "trial", 0) == 5728405213831603916
     assert derive_seed(9, "trial", 2) == 9172746319546877638
-    single = simulate_s1(spec, np.random.default_rng(derive_seed(9, "trial", 0)))
-    assert np.array_equal(a[0], single.values)
+    single = simulate(spec, np.random.default_rng(derive_seed(9, "trial", 0)), "named")
+    assert np.array_equal(a[0], single.values) and single.name == "named"
     # base seeds 2 and 3 once shared their trial seeds (2 ^ i and 3 ^ i)
     streams = [s.values.tobytes() for base in (1, 2, 3, 4) for s in monte_carlo(spec, 4, base)]
     assert len(set(streams)) == 16
