@@ -52,17 +52,6 @@ from .splitters import (
     ResamplingPlan,
     Runs,
     build_plan,
-    plan_cv,
-    plan_cv_bl,
-    plan_cv_hvbl,
-    plan_cv_mod,
-    plan_holdout,
-    plan_preq_bls,
-    plan_preq_bls_gap,
-    plan_preq_grow,
-    plan_preq_sld_bls,
-    plan_preq_slide,
-    plan_rep_holdout,
 )
 from .stationarity import (
     KPSS_CRITICAL_5PCT,

@@ -37,7 +37,6 @@ from .embedding import embed as embed_rows
 from .embedding import estimate_embedding_dimension
 from .harness import (
     ExperimentConfig,
-    _csv_text,
     comparisons_csv,
     compare_to_baseline,
     rank_table_csv,
@@ -47,7 +46,7 @@ from .harness import (
     run_experiment,
 )
 from .learners import LearnerSpec
-from .series import load_csv, write_csv
+from .series import load_csv, write_csv, write_rows
 from .splitters import METHODS
 from .stationarity import ndiffs, wavelet_stationarity_test
 from .synthetic import DGP_KINDS, DGPSpec, monte_carlo
@@ -158,7 +157,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     bm.add_argument("--K", type=int, default=10)
     bm.add_argument("--nreps", type=int, default=10)
     _add_learner_flags(bm)
-    bm.add_argument("--baseline", default="Rep-Holdout")
+    bm.add_argument("--baseline", choices=METHODS, default="Rep-Holdout")
     bm.add_argument("--rope", type=float, default=2.5, help=_ROPE_HELP)
     bm.add_argument("--no-compare", action="store_true")
     bm.add_argument("--out", required=True, help="results CSV path")
@@ -251,10 +250,9 @@ def _cmd_simulate(args) -> int:
         logger.info("wrote %d series to %s", len(stream), out)
     if args.long_csv:
         with Path(args.long_csv).open("w", newline="", encoding="utf-8") as fh:
-            fh.write("trial,t,value\n")
-            for trial, series in enumerate(stream):
-                for t, value in enumerate(series.values):
-                    fh.write(f"{trial},{t},{float(value)!r}\n")
+            rows = ([trial, t, repr(value)] for trial, series in enumerate(stream)
+                    for t, value in enumerate(series.values.tolist()))
+            write_rows(fh, ["trial", "t", "value"], rows)
     return 0
 
 
@@ -379,7 +377,7 @@ def _cmd_stationarity(args) -> int:
             for r in verdict.rejections
         )
         rows.append([series.name, order, int(verdict.stationary), triples])
-    sys.stdout.write(_csv_text(["name", "I", "S", "rejections"], rows))
+    write_rows(sys.stdout, ["name", "I", "S", "rejections"], rows)
     return code
 
 
@@ -396,10 +394,10 @@ def _cmd_embed(args) -> int:
     if args.out:
         with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
             headers = ["target_time"] + [f"x{i + 1}" for i in range(p)] + ["y"]
-            fh.write(",".join(headers) + "\n")
-            for row, (x, target) in enumerate(zip(dataset.predictors, dataset.targets)):
-                cells = [str(row + p)] + [repr(float(v)) for v in x] + [repr(float(target))]
-                fh.write(",".join(cells) + "\n")
+            rows = ([row + p, *map(repr, x.tolist()), repr(target)]
+                    for row, (x, target) in enumerate(zip(dataset.predictors,
+                                                          dataset.targets.tolist())))
+            write_rows(fh, headers, rows)
     return 0
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +24,7 @@ from .evaluation import (
     true_loss,
 )
 from .learners import LearnerSpec
-from .series import TimeSeries, estimation_validation_split, load_csv
+from .series import TimeSeries, estimation_validation_split, load_csv, write_rows
 from .splitters import METHODS
 from .synthetic import DGPSpec, derive_seed, monte_carlo
 
@@ -123,11 +124,20 @@ def _problems(config: ExperimentConfig) -> list[TimeSeries]:
 
 
 def _choose_dimension(config: ExperimentConfig, series: TimeSeries) -> int:
-    if config.embedding == "auto":
-        return estimate_embedding_dimension(
-            series, d_max=config.d_max, tolerance=config.fnn_tolerance
-        )
-    return int(config.embedding)
+    """The fixed dimension, or FNN's choice. Python shows a warning once per
+    call site, so FNN's fallback warning is logged here, naming the problem,
+    and other warnings are shown as they would have been."""
+    if config.embedding != "auto":
+        return int(config.embedding)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        p = estimate_embedding_dimension(series, d_max=config.d_max, tolerance=config.fnn_tolerance)
+    for w in caught:
+        if issubclass(w.category, UserWarning):
+            logger.warning("problem %s: %s", series.name, w.message)
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return p
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
@@ -241,9 +251,7 @@ def compare_to_baseline(
 
 def _csv_text(header: list[str], rows) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    write_rows(buffer, header, rows)
     return buffer.getvalue()
 
 
@@ -252,7 +260,8 @@ def results_to_csv(results, path) -> None:
         [r.problem_id, r.method, *map(repr, (r.estimate, r.true_loss, r.apae, r.pae, r.pct_diff))]
         for r in results
     )
-    Path(path).write_text(_csv_text(RESULTS_HEADER.split(","), rows), encoding="utf-8", newline="")
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        write_rows(fh, RESULTS_HEADER.split(","), rows)
 
 
 def read_results_csv(path) -> list[EstimationResult]:

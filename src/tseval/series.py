@@ -13,6 +13,7 @@ __all__ = [
     "TimeSeries",
     "load_csv",
     "write_csv",
+    "write_rows",
     "difference",
     "estimation_validation_split",
 ]
@@ -97,13 +98,18 @@ def load_csv(path, column: str | int = 0, name: str | None = None) -> TimeSeries
     return TimeSeries(np.asarray(values), name=name or path.stem)
 
 
+def write_rows(fh, header, rows) -> None:
+    """Write a header row, then each of ``rows`` as it comes, as CSV with
+    ``\n`` line endings to the open text file ``fh``."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def write_csv(series: TimeSeries, path) -> None:
     """Write a series as one observation per row, under a ``y`` header row."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y"])
-        for v in series.values:
-            writer.writerow([repr(float(v))])
+        write_rows(fh, ["y"], ([repr(float(v))] for v in series.values))
 
 
 def difference(series: TimeSeries, d: int) -> TimeSeries:

@@ -1,21 +1,28 @@
 """Resampling plans over embedded-row indices for the 11 estimation procedures.
 
-Two families:
+Blocks everywhere: n rows split into K contiguous blocks in temporal order,
+the first (n mod K) blocks one row larger. In cross-validation the test folds
+partition the rows, and training may use rows from the future:
 
-* cross-validation (CV, CV-Bl, CV-Mod, CV-hvBl): test folds partition the
-  rows; training may use rows from the future.
-* out-of-sample and prequential (Holdout, Rep-Holdout, Preq-Bls,
-  Preq-Sld-Bls, Preq-Bls-Gap, Preq-Grow, Preq-Slide): every iteration
-  trains strictly before it tests.
+* CV: the folds are the K blocks of ``default_rng(seed).permutation(n)``,
+  each sorted.
+* CV-Bl: the folds are the K blocks.
+* CV-Mod: CV, less the training rows within p of a test row.
+* CV-hvBl: CV-Bl, less the p rows on each side of the test block.
 
-Block convention everywhere: n rows split into K contiguous blocks in
-temporal order, the first (n mod K) blocks one row larger.
+The out-of-sample and prequential methods train strictly before they test:
 
-The study fixes every other setting. Holdout trains on the first 70% of the
-rows and tests on the rest; each Rep-Holdout repetition trains on 60% of the
-rows and tests on the next 10%; Preq-Sld-Bls trains on the one block before
-the test block; Preq-Grow and Preq-Slide test one row at a time after a
-warm-up (Preq-Grow) or sliding window (Preq-Slide) of half the rows.
+* Holdout: train on the first floor(0.7 n) rows, test on the rest.
+* Rep-Holdout: nreps times, draw a cut ``a`` uniformly from the integers
+  [floor(0.6 n), n - floor(0.1 n)]; train on the floor(0.6 n) rows before
+  ``a`` and test on the floor(0.1 n) rows from ``a``.
+* Preq-Bls: train on blocks 1..i, test on block i+1.
+* Preq-Sld-Bls: train on block i, test on block i+1.
+* Preq-Bls-Gap: train on blocks 1..i, keep block i+1 out, test on block i+2.
+* Preq-Grow: for j = n//2, ..., n - 1, train on [0, j) and test on row j. A
+  warm-up of only one block starves the learner and distorts the loss
+  estimate far beyond what any of the block methods exhibit.
+* Preq-Slide: the same j, training on the n//2 rows before j.
 
 A plan holds the train, test and gap rows of all its iterations as half-open
 row runs (:class:`Runs`): one per window, two for blocked CV, about n/K for CV.
@@ -40,17 +47,6 @@ __all__ = [
     "Runs",
     "Iteration",
     "ResamplingPlan",
-    "plan_cv",
-    "plan_cv_bl",
-    "plan_cv_mod",
-    "plan_cv_hvbl",
-    "plan_holdout",
-    "plan_rep_holdout",
-    "plan_preq_bls",
-    "plan_preq_sld_bls",
-    "plan_preq_bls_gap",
-    "plan_preq_grow",
-    "plan_preq_slide",
     "build_plan",
 ]
 
@@ -197,16 +193,14 @@ def _block_bounds(n: int, K: int) -> np.ndarray:
     return i * (n // K) + np.minimum(i, n % K)
 
 
-def _check_k(n: int, K: int, minimum: int = 2, radius: int = 1) -> None:
+def _check_k(n: int, K: int, minimum: int = 2) -> None:
     if K < minimum:
         raise ValueError(f"K must be >= {minimum}, got {K}")
     if K > n:
         raise ValueError(f"K={K} exceeds row count n={n}")
-    if radius < 1:
-        raise ValueError("removal radius p must be >= 1")
 
 
-def _cv(method: str, n: int, K: int, order: np.ndarray, p: int = 0) -> ResamplingPlan:
+def _cv(method: str, n: int, K: int, order: np.ndarray, p: int) -> ResamplingPlan:
     """K-fold CV whose test folds are the K blocks of ``order``, each sorted.
     A fold trains on the stretches [a, b) of rows around its runs, less the
     rows within p of a test row: [a + p, b - p), but not past 0 or n. The rest
@@ -238,101 +232,6 @@ def _cv(method: str, n: int, K: int, order: np.ndarray, p: int = 0) -> Resamplin
     return ResamplingPlan(method, n, train, test, _runs(gap_lo, gap_hi, 2 * bounds))
 
 
-def plan_cv(n: int, K: int, seed: int | None = None) -> ResamplingPlan:
-    """Randomized K-fold cross-validation over a seeded shuffle of the rows.
-
-    The folds are the K blocks of ``default_rng(seed).permutation(n)``, each
-    sorted.
-    """
-    _check_k(n, K)
-    return _cv("CV", n, K, np.random.default_rng(seed).permutation(n))
-
-
-def plan_cv_bl(n: int, K: int) -> ResamplingPlan:
-    """Blocked K-fold cross-validation: contiguous test blocks, no shuffling."""
-    _check_k(n, K)
-    return _cv("CV-Bl", n, K, np.arange(n))
-
-
-def plan_cv_mod(n: int, K: int, p: int, seed: int | None = None) -> ResamplingPlan:
-    """Randomized CV with training rows within radius p of any test row removed."""
-    _check_k(n, K, radius=p)
-    return _cv("CV-Mod", n, K, np.random.default_rng(seed).permutation(n), p)
-
-
-def plan_cv_hvbl(n: int, K: int, p: int) -> ResamplingPlan:
-    """Blocked CV with a p-row buffer removed on both sides of the test block."""
-    _check_k(n, K, radius=p)
-    return _cv("CV-hvBl", n, K, np.arange(n), p)
-
-
-def plan_holdout(n: int) -> ResamplingPlan:
-    """Single chronological split: the first floor(0.7*n) rows train."""
-    cut = int(np.floor(0.7 * n))
-    if cut < 1:
-        raise ValueError(f"train fraction 0.7 of {n} rows leaves a degenerate side")
-    return _windows("Holdout", n, ([0], [cut]), ([cut], [n]))
-
-
-def plan_rep_holdout(n: int, nreps: int = 10, seed: int | None = None) -> ResamplingPlan:
-    """Repeated holdout at nreps random cut points.
-
-    Each repetition draws a cut ``a`` uniformly from the integers
-    [train_size, n - test_size] (both ends included), where train_size is
-    floor(0.6*n) and test_size floor(0.1*n); it trains on the train_size
-    rows before ``a`` and tests on the test_size rows from ``a``.
-    """
-    if nreps < 1:
-        raise ValueError("nreps must be >= 1")
-    train_size = int(np.floor(0.6 * n))
-    test_size = int(np.floor(0.1 * n))
-    if train_size < 1 or test_size < 1:
-        raise ValueError(f"window fractions (0.6, 0.1) are infeasible for n={n}")
-    a = np.random.default_rng(seed).integers(train_size, n - test_size + 1, size=nreps)
-    return _windows("Rep-Holdout", n, (a - train_size, a), (a, a + test_size))
-
-
-def plan_preq_bls(n: int, K: int) -> ResamplingPlan:
-    """Prequential in blocks, growing: train on blocks 1..i, test on block i+1."""
-    _check_k(n, K)
-    b = _block_bounds(n, K)
-    return _windows("Preq-Bls", n, (np.zeros_like(b[1:-1]), b[1:-1]), (b[1:-1], b[2:]))
-
-
-def plan_preq_sld_bls(n: int, K: int) -> ResamplingPlan:
-    """Prequential in blocks, sliding: train on block i, test on block i+1."""
-    _check_k(n, K)
-    b = _block_bounds(n, K)
-    return _windows("Preq-Sld-Bls", n, (b[:-2], b[1:-1]), (b[1:-1], b[2:]))
-
-
-def plan_preq_bls_gap(n: int, K: int) -> ResamplingPlan:
-    """Prequential in blocks with one untouched block between train and test."""
-    _check_k(n, K, minimum=3)
-    b = _block_bounds(n, K)
-    return _windows("Preq-Bls-Gap", n, (np.zeros_like(b[1:-2]), b[1:-2]), (b[2:-1], b[3:]),
-                    (b[1:-2], b[2:-1]))
-
-
-def plan_preq_grow(n: int) -> ResamplingPlan:
-    """Exhaustive prequential with a growing window.
-
-    Walks j over n//2, ..., n - 1; each iteration trains on [0, j) and tests
-    on row j. The warm-up is half the rows: a window of only one block
-    starves the learner and distorts the loss estimate far beyond what any
-    of the block methods exhibit.
-    """
-    j = np.arange(n // 2, n)
-    return _windows("Preq-Grow", n, (np.zeros_like(j), j), (j, j + 1))
-
-
-def plan_preq_slide(n: int) -> ResamplingPlan:
-    """Exhaustive prequential with a sliding window of n//2 rows (half, as in
-    ``plan_preq_grow``), testing each later row in turn."""
-    j = np.arange(n // 2, n)
-    return _windows("Preq-Slide", n, (j - n // 2, j), (j, j + 1))
-
-
 def build_plan(
     method: str,
     n: int,
@@ -342,27 +241,43 @@ def build_plan(
     nreps: int = 10,
     seed: int | None = None,
 ) -> ResamplingPlan:
-    """Dispatch to the named procedure; only K, p, nreps and seed vary."""
-    if method == "CV":
-        return plan_cv(n, K, seed)
-    if method == "CV-Bl":
-        return plan_cv_bl(n, K)
-    if method == "CV-Mod":
-        return plan_cv_mod(n, K, p, seed)
-    if method == "CV-hvBl":
-        return plan_cv_hvbl(n, K, p)
+    """The named method's plan over n rows (see the module docstring). K is read
+    by the four CV methods, Preq-Bls, Preq-Sld-Bls and Preq-Bls-Gap; p by CV-Mod
+    and CV-hvBl; nreps by Rep-Holdout; seed by CV, CV-Mod and Rep-Holdout.
+    Holdout, Preq-Grow and Preq-Slide read none of them."""
+    if method in CV_METHODS:
+        _check_k(n, K)
+        removal = method in ("CV-Mod", "CV-hvBl")
+        if removal and p < 1:
+            raise ValueError("removal radius p must be >= 1")
+        shuffled = method in ("CV", "CV-Mod")
+        order = np.random.default_rng(seed).permutation(n) if shuffled else np.arange(n)
+        return _cv(method, n, K, order, p if removal else 0)
     if method == "Holdout":
-        return plan_holdout(n)
+        cut = int(np.floor(0.7 * n))
+        if cut < 1:
+            raise ValueError(f"train fraction 0.7 of {n} rows leaves a degenerate side")
+        return _windows(method, n, ([0], [cut]), ([cut], [n]))
     if method == "Rep-Holdout":
-        return plan_rep_holdout(n, nreps, seed=seed)
-    if method == "Preq-Bls":
-        return plan_preq_bls(n, K)
-    if method == "Preq-Sld-Bls":
-        return plan_preq_sld_bls(n, K)
-    if method == "Preq-Bls-Gap":
-        return plan_preq_bls_gap(n, K)
-    if method == "Preq-Grow":
-        return plan_preq_grow(n)
-    if method == "Preq-Slide":
-        return plan_preq_slide(n)
+        if nreps < 1:
+            raise ValueError("nreps must be >= 1")
+        train_size = int(np.floor(0.6 * n))
+        test_size = int(np.floor(0.1 * n))
+        if train_size < 1 or test_size < 1:
+            raise ValueError(f"window fractions (0.6, 0.1) are infeasible for n={n}")
+        a = np.random.default_rng(seed).integers(train_size, n - test_size + 1, size=nreps)
+        return _windows(method, n, (a - train_size, a), (a, a + test_size))
+    if method in ("Preq-Bls", "Preq-Sld-Bls", "Preq-Bls-Gap"):
+        _check_k(n, K, minimum=3 if method == "Preq-Bls-Gap" else 2)
+        b = _block_bounds(n, K)
+        if method == "Preq-Bls":
+            return _windows(method, n, (np.zeros_like(b[1:-1]), b[1:-1]), (b[1:-1], b[2:]))
+        if method == "Preq-Sld-Bls":
+            return _windows(method, n, (b[:-2], b[1:-1]), (b[1:-1], b[2:]))
+        return _windows(method, n, (np.zeros_like(b[1:-2]), b[1:-2]), (b[2:-1], b[3:]),
+                        (b[1:-2], b[2:-1]))
+    if method in ("Preq-Grow", "Preq-Slide"):
+        j = np.arange(n // 2, n)
+        lo = np.zeros_like(j) if method == "Preq-Grow" else j - n // 2
+        return _windows(method, n, (lo, j), (j, j + 1))
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

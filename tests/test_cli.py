@@ -219,6 +219,37 @@ def test_benchmark_rejects_bad_bayes_flags_before_the_study(tmp_path, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_benchmark_rejects_an_unknown_baseline_before_the_study(tmp_path, monkeypatch, via_config):
+    studies = []
+    monkeypatch.setattr(tseval.cli, "run_experiment", studies.append)
+    out = tmp_path / "r.csv"
+    config = tmp_path / "bench.conf"
+    config.write_text("baseline=Nope\n")
+    flags = ["--config", str(config)] if via_config else ["--baseline", "Nope"]
+    assert run_cli("benchmark", "--dgp", "s1", "--trials", "2", "--out", str(out), *flags) == 1
+    assert not studies
+    assert not out.exists()
+
+
+def test_compare_without_normalization(tmp_path):
+    # per problem, "m" minus "base" in APAE is 0.3, 6.0 and 1.0: raw, two lie in
+    # [-2.5, 2.5] and one right of it, so with no prior mass P_right = (1/2)^2
+    results, out = tmp_path / "results.csv", tmp_path / "cmp.csv"
+    rows = [EstimationResult.from_losses(pid, method, estimate, truth)
+            for pid, truth, base, m in (("p1", 10.0, 10.1, 10.4), ("p2", 10.0, 10.0, 16.0),
+                                        ("p3", 0.0, 1.0, 2.0))
+            for method, estimate in (("base", base), ("m", m))]
+    results_to_csv(rows, results)
+    assert run_cli("compare", "--results", str(results), "--baseline", "base",
+                   "--prior-strength", "0", "--normalization", "none", "--out", str(out)) == 0
+    assert out.read_text() == "method,baseline,p_left,p_rope,p_right\nm,base,0.0,0.75,0.25\n"
+    # in percent of the loss, p3 is skipped and 3% and 60% lie right of the ROPE
+    assert run_cli("compare", "--results", str(results), "--baseline", "base",
+                   "--prior-strength", "0", "--out", str(out)) == 0
+    assert out.read_text() == "method,baseline,p_left,p_rope,p_right\nm,base,0.0,0.0,1.0\n"
+
+
 @pytest.mark.parametrize(
     "flags",
     [("--samples", "0"), ("--rope", "-1"), ("--prior-strength", "-0.5"),

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -217,6 +218,55 @@ def test_compare_to_baseline_semantics():
     assert by_method["same"].p_rope > 0.99  # within 2.5% of the loss
     with pytest.raises(ValueError, match="baseline"):
         compare_to_baseline(rows, baseline="missing")
+
+
+def hand_worked_rows():
+    """Per problem, method "m" minus "base" in APAE: 0.3 and 6.0 on p1 and p2,
+    whose true loss is 10, so 3% and 60% of it; 1.0 on p3, whose true loss is 0."""
+    rows = []
+    for pid, truth, base, m in (("p1", 10.0, 10.1, 10.4), ("p2", 10.0, 10.0, 16.0),
+                                ("p3", 0.0, 1.0, 2.0)):
+        rows.append(EstimationResult.from_losses(pid, "base", base, truth))
+        rows.append(EstimationResult.from_losses(pid, "m", m, truth))
+    return rows
+
+
+def test_compare_to_baseline_without_normalization_reads_raw_differences():
+    # raw, 0.3 and 1.0 fall inside [-2.5, 2.5] and 6.0 right of it; with no prior
+    # mass, P_right = P(Gamma(1) > Gamma(2)) = (1/2)^2
+    [c] = compare_to_baseline(hand_worked_rows(), "base", 2.5, 0.0, "none")
+    assert (c.method, c.baseline) == ("m", "base")
+    assert c.outcome.counts == (0, 2, 1)
+    assert (c.outcome.p_left, c.outcome.p_rope, c.outcome.p_right) == (0.0, 0.75, 0.25)
+
+
+def test_compare_to_baseline_in_percent_skips_problems_without_loss():
+    # p3 has no true loss to divide by; 3% and 60% both lie right of the ROPE
+    [c] = compare_to_baseline(hand_worked_rows(), "base", 2.5, 0.0, "loss")
+    assert c.outcome.counts == (0, 0, 2)
+    assert (c.outcome.p_left, c.outcome.p_rope, c.outcome.p_right) == (0.0, 0.0, 1.0)
+    # a method left with no problem is not compared
+    assert compare_to_baseline(hand_worked_rows()[4:], "base", normalization="loss") == []
+    assert compare_to_baseline(hand_worked_rows()[4:], "base", normalization="none") != []
+
+
+def test_fnn_fallback_is_logged_once_per_problem(tmp_path, caplog):
+    # noise whose sd triples halfway: no dimension up to 3 has few false neighbours
+    t = np.arange(800)
+    paths = []
+    for seed in (1, 2, 3):
+        values = 10 + np.random.default_rng(seed).normal(size=800) * np.where(t >= 400, 3, 1)
+        paths.append(tmp_path / f"shift{seed}.csv")
+        write_csv(TimeSeries(values), paths[-1])
+    config = ExperimentConfig(csv_paths=tuple(paths), d_max=3, methods=("Holdout",))
+    with caplog.at_level(logging.WARNING, logger="tseval"):
+        outcome = run_experiment(config)
+    assert not outcome.failures and len(outcome.results) == 3
+    assert [r.getMessage() for r in caplog.records] == [
+        f"problem shift{seed}: false-neighbour fraction stayed above 0.01 up to d_max=3; "
+        "returning d_max"
+        for seed in (1, 2, 3)
+    ]
 
 
 def test_config_validation():

@@ -13,17 +13,6 @@ from tseval import (
     ResamplingPlan,
     Runs,
     build_plan,
-    plan_cv,
-    plan_cv_bl,
-    plan_cv_hvbl,
-    plan_cv_mod,
-    plan_holdout,
-    plan_preq_bls,
-    plan_preq_bls_gap,
-    plan_preq_grow,
-    plan_preq_sld_bls,
-    plan_preq_slide,
-    plan_rep_holdout,
 )
 
 
@@ -102,7 +91,7 @@ def test_plan_parts_are_sorted_read_only_int_arrays(method):
 # --- CV ---------------------------------------------------------------------
 
 def test_cv_is_partition():
-    plan = plan_cv(6, 3, seed=0)
+    plan = build_plan("CV", 6, K=3, seed=0)
     check_common_invariants(plan)
     sizes = sorted(len(it.test) for it in plan.iterations)
     assert sizes == [2, 2, 2]
@@ -111,7 +100,7 @@ def test_cv_is_partition():
 def test_cv_without_shuffle_equals_blocked():
     # CV's folds are CV-Bl's blocks taken over a seeded permutation of the rows
     for n, K, seed in ((6, 3, 0), (7, 3, 5), (137, 10, 11)):
-        cv, blocked = plan_cv(n, K, seed=seed), plan_cv_bl(n, K)
+        cv, blocked = build_plan("CV", n, K=K, seed=seed), build_plan("CV-Bl", n, K=K)
         assert [len(it.test) for it in cv.iterations] == [
             len(it.test) for it in blocked.iterations
         ]
@@ -121,35 +110,38 @@ def test_cv_without_shuffle_equals_blocked():
 
 
 def test_cv_leave_one_out():
-    plan = plan_cv(10, 10, seed=1)
+    plan = build_plan("CV", 10, K=10, seed=1)
     assert all(len(it.test) == 1 for it in plan.iterations)
 
 
 def test_cv_deterministic_per_seed():
-    assert iteration_sets(plan_cv(20, 4, seed=9)) == iteration_sets(plan_cv(20, 4, seed=9))
-    assert iteration_sets(plan_cv(20, 4, seed=9)) != iteration_sets(plan_cv(20, 4, seed=10))
+    def cv(seed):
+        return iteration_sets(build_plan("CV", 20, K=4, seed=seed))
+
+    assert cv(9) == cv(9)
+    assert cv(9) != cv(10)
 
 
 def test_cv_k_too_large():
     with pytest.raises(ValueError):
-        plan_cv(3, 4)
+        build_plan("CV", 3, K=4)
 
 
 # --- CV-Bl ------------------------------------------------------------------
 
 def test_cv_bl_blocks():
-    plan = plan_cv_bl(6, 3)
+    plan = build_plan("CV-Bl", 6, K=3)
     assert plan.iterations[2].test.tolist() == [4, 5]
     assert plan.iterations[2].train.tolist() == [0, 1, 2, 3]
 
 
 def test_cv_bl_remainder_to_earliest():
-    plan = plan_cv_bl(7, 3)
+    plan = build_plan("CV-Bl", 7, K=3)
     assert [it.test.tolist() for it in plan.iterations] == [[0, 1, 2], [3, 4], [5, 6]]
 
 
 def test_cv_bl_block_sizes_195_10():
-    plan = plan_cv_bl(195, 10)
+    plan = build_plan("CV-Bl", 195, K=10)
     sizes = [len(it.test) for it in plan.iterations]
     assert sizes == [20] * 5 + [19] * 5
 
@@ -158,7 +150,7 @@ def test_cv_bl_block_sizes_195_10():
 
 def _seed_with_fold(n, K, fold):
     for seed in range(2000):
-        for it in plan_cv(n, K, seed=seed).iterations:
+        for it in build_plan("CV", n, K=K, seed=seed).iterations:
             if it.test.tolist() == fold:
                 return seed
     raise AssertionError("no seed produced the wanted fold")
@@ -167,7 +159,7 @@ def _seed_with_fold(n, K, fold):
 def test_cv_mod_exclusion_rule_hand_example():
     # test fold {2, 5} with p=1 must keep train {0, 7} and move {1,3,4,6} to gap
     seed = _seed_with_fold(8, 4, [2, 5])
-    plan = plan_cv_mod(8, 4, p=1, seed=seed)
+    plan = build_plan("CV-Mod", 8, K=4, p=1, seed=seed)
     it = next(it for it in plan.iterations if it.test.tolist() == [2, 5])
     assert it.train.tolist() == [0, 7]
     assert it.gap.tolist() == [1, 3, 4, 6]
@@ -175,16 +167,16 @@ def test_cv_mod_exclusion_rule_hand_example():
 
 def test_cv_mod_rejects_p_zero():
     with pytest.raises(ValueError):
-        plan_cv_mod(8, 4, p=0, seed=1)
+        build_plan("CV-Mod", 8, K=4, p=0, seed=1)
 
 
 def test_cv_mod_empty_training_error_names_iteration():
     with pytest.raises(EmptyTrainingSetError, match="iteration"):
-        plan_cv_mod(8, 2, p=10, seed=0)
+        build_plan("CV-Mod", 8, K=2, p=10, seed=0)
 
 
 def test_cv_mod_radius_invariant():
-    plan = plan_cv_mod(40, 5, p=3, seed=2)
+    plan = build_plan("CV-Mod", 40, K=5, p=3, seed=2)
     check_common_invariants(plan)
     for it in plan.iterations:
         train = np.asarray(it.train)
@@ -195,7 +187,7 @@ def test_cv_mod_radius_invariant():
 # --- CV-hvBl ----------------------------------------------------------------
 
 def test_cv_hvbl_interior_block():
-    plan = plan_cv_hvbl(10, 5, p=1)
+    plan = build_plan("CV-hvBl", 10, K=5, p=1)
     it = plan.iterations[2]
     assert it.test.tolist() == [4, 5]
     assert it.train.tolist() == [0, 1, 2, 7, 8, 9]
@@ -203,13 +195,13 @@ def test_cv_hvbl_interior_block():
 
 
 def test_cv_hvbl_boundary_clip():
-    it = plan_cv_hvbl(10, 5, p=1).iterations[0]
+    it = build_plan("CV-hvBl", 10, K=5, p=1).iterations[0]
     assert it.test.tolist() == [0, 1]
     assert it.gap.tolist() == [2]
 
 
 def test_cv_hvbl_exclusion_budget():
-    plan = plan_cv_hvbl(195, 10, p=5)
+    plan = build_plan("CV-hvBl", 195, K=10, p=5)
     for it in plan.iterations:
         assert len(it.gap) <= 10
         assert len(it.train) >= 195 - len(it.test) - 10
@@ -218,25 +210,25 @@ def test_cv_hvbl_exclusion_budget():
 # --- Holdout / Rep-Holdout --------------------------------------------------
 
 def test_holdout_70_30():
-    plan = plan_holdout(10)
+    plan = build_plan("Holdout", 10)
     assert plan.iterations[0].train.tolist() == list(range(7))
     assert plan.iterations[0].test.tolist() == [7, 8, 9]
 
 
 def test_holdout_minimal_and_sizes():
-    it = plan_holdout(2).iterations[0]
+    it = build_plan("Holdout", 2).iterations[0]
     assert it.train.tolist() == [0] and it.test.tolist() == [1]
-    it = plan_holdout(140).iterations[0]
+    it = build_plan("Holdout", 140).iterations[0]
     assert (len(it.train), len(it.test)) == (98, 42)
 
 
 def test_holdout_degenerate():
     with pytest.raises(ValueError):
-        plan_holdout(1)
+        build_plan("Holdout", 1)
 
 
 def test_rep_holdout_windows():
-    plan = plan_rep_holdout(100, nreps=10, seed=5)
+    plan = build_plan("Rep-Holdout", 100, nreps=10, seed=5)
     assert len(plan.iterations) == 10
     for it in plan.iterations:
         assert len(it.train) == 60 and len(it.test) == 10
@@ -248,7 +240,7 @@ def test_rep_holdout_windows():
 def test_rep_holdout_cut_extremes_reachable():
     cuts = set()
     for seed in range(400):
-        plan = plan_rep_holdout(100, nreps=1, seed=seed)
+        plan = build_plan("Rep-Holdout", 100, nreps=1, seed=seed)
         cuts.add(min(plan.iterations[0].test))
     assert min(cuts) == 60 and max(cuts) == 90
 
@@ -256,15 +248,15 @@ def test_rep_holdout_cut_extremes_reachable():
 def test_rep_holdout_infeasible():
     # below 10 rows the 10% test window is empty
     with pytest.raises(ValueError, match="infeasible"):
-        plan_rep_holdout(9, nreps=2, seed=0)
-    plan = plan_rep_holdout(10, nreps=2, seed=0)
+        build_plan("Rep-Holdout", 9, nreps=2, seed=0)
+    plan = build_plan("Rep-Holdout", 10, nreps=2, seed=0)
     assert [(len(it.train), len(it.test)) for it in plan.iterations] == [(6, 1), (6, 1)]
 
 
 # --- prequential block variants ---------------------------------------------
 
 def test_preq_bls_layout():
-    plan = plan_preq_bls(10, 5)
+    plan = build_plan("Preq-Bls", 10, K=5)
     assert iteration_sets(plan) == [
         [[0, 1], [2, 3], []],
         [[0, 1, 2, 3], [4, 5], []],
@@ -274,15 +266,15 @@ def test_preq_bls_layout():
 
 
 def test_preq_bls_minimal_and_final_train_size():
-    plan = plan_preq_bls(4, 2)
+    plan = build_plan("Preq-Bls", 4, K=2)
     assert iteration_sets(plan) == [[[0, 1], [2, 3], []]]
-    plan = plan_preq_bls(195, 10)
+    plan = build_plan("Preq-Bls", 195, K=10)
     assert len(plan.iterations) == 9
     assert len(plan.iterations[-1].train) == 176
 
 
 def test_preq_sld_bls_layout():
-    plan = plan_preq_sld_bls(10, 5)
+    plan = build_plan("Preq-Sld-Bls", 10, K=5)
     assert iteration_sets(plan) == [
         [[0, 1], [2, 3], []],
         [[2, 3], [4, 5], []],
@@ -292,11 +284,12 @@ def test_preq_sld_bls_layout():
 
 
 def test_preq_sld_bls_first_iteration_matches_growing():
-    assert iteration_sets(plan_preq_sld_bls(4, 2)) == iteration_sets(plan_preq_bls(4, 2))
+    sliding, growing = build_plan("Preq-Sld-Bls", 4, K=2), build_plan("Preq-Bls", 4, K=2)
+    assert iteration_sets(sliding) == iteration_sets(growing)
 
 
 def test_preq_bls_gap_layout():
-    plan = plan_preq_bls_gap(10, 5)
+    plan = build_plan("Preq-Bls-Gap", 10, K=5)
     assert iteration_sets(plan) == [
         [[0, 1], [4, 5], [2, 3]],
         [[0, 1, 2, 3], [6, 7], [4, 5]],
@@ -306,14 +299,14 @@ def test_preq_bls_gap_layout():
 
 def test_preq_bls_gap_needs_three_blocks():
     with pytest.raises(ValueError):
-        plan_preq_bls_gap(10, 2)
+        build_plan("Preq-Bls-Gap", 10, K=2)
 
 
 def test_preq_grow_layouts():
-    plan = plan_preq_grow(5)
+    plan = build_plan("Preq-Grow", 5)
     assert [it.test.tolist() for it in plan.iterations] == [[2], [3], [4]]
     assert [len(it.train) for it in plan.iterations] == [2, 3, 4]
-    plan = plan_preq_grow(6)
+    plan = build_plan("Preq-Grow", 6)
     assert iteration_sets(plan) == [
         [[0, 1, 2], [3], []],
         [[0, 1, 2, 3], [4], []],
@@ -322,7 +315,7 @@ def test_preq_grow_layouts():
 
 
 def test_preq_slide_layouts():
-    plan = plan_preq_slide(5)
+    plan = build_plan("Preq-Slide", 5)
     assert iteration_sets(plan) == [
         [[0, 1], [2], []],
         [[1, 2], [3], []],
@@ -332,9 +325,10 @@ def test_preq_slide_layouts():
 
 def test_preq_slide_degenerate_window_equals_growing_tail():
     # two rows: the one-row window is also the whole growing warm-up
-    assert iteration_sets(plan_preq_slide(2)) == iteration_sets(plan_preq_grow(2))
+    slide, grow = build_plan("Preq-Slide", 2), build_plan("Preq-Grow", 2)
+    assert iteration_sets(slide) == iteration_sets(grow)
     # otherwise each window is the last n//2 rows of the growing train set
-    slide, grow = plan_preq_slide(9), plan_preq_grow(9)
+    slide, grow = build_plan("Preq-Slide", 9), build_plan("Preq-Grow", 9)
     assert len(slide.iterations) == len(grow.iterations) == 5
     for s, g in zip(slide.iterations, grow.iterations):
         assert s.test.tolist() == g.test.tolist()
@@ -344,9 +338,9 @@ def test_preq_slide_degenerate_window_equals_growing_tail():
 def test_preq_window_bounds():
     # one row leaves no room for a warm-up or window
     with pytest.raises(ValueError, match="non-empty"):
-        plan_preq_grow(1)
+        build_plan("Preq-Grow", 1)
     with pytest.raises(ValueError, match="non-empty"):
-        plan_preq_slide(1)
+        build_plan("Preq-Slide", 1)
 
 
 # --- randomised properties ----------------------------------------------------
