@@ -325,12 +325,14 @@ def _cmd_benchmark(args) -> int:
         base_seed=args.seed,
     )
     outcome = run_experiment(config)
-    comparisons = []
-    if not args.no_compare and args.baseline in config.methods and outcome.results:
-        comparisons = compare_to_baseline(outcome.results, args.baseline, args.rope)
     code = _finish_experiment(outcome, args)
-    if comparisons:
-        sys.stdout.write(comparisons_csv(comparisons))
+    if args.no_compare or args.baseline not in config.methods:
+        return code
+    if any(r.method == args.baseline for r in outcome.results):
+        sys.stdout.write(comparisons_csv(
+            compare_to_baseline(outcome.results, args.baseline, args.rope)))
+    else:
+        logger.warning("no comparison: baseline %s has no results", args.baseline)
     return code
 
 

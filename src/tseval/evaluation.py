@@ -111,9 +111,9 @@ def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimat
     its train and test row runs directly.
 
     The lasso fits every training set of the plan at once with
-    :func:`~tseval.learners.fit_lasso_folds` (prefix-sum moments, one path run
-    per distinct active set and signs, a KKT certificate for the rest) and
-    predicts every test row in one product.
+    :func:`~tseval.learners.fit_lasso_folds` (prefix-sum moments, and every
+    fold's lasso path followed in lockstep) and predicts every test row in one
+    product.
 
     k-NN predicts the plan's test rows in row chunks from the dataset's
     ``knn_window``, each row's nearest rows in neighbour order, computed once
@@ -142,10 +142,9 @@ def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimat
         predictions = np.einsum(
             "ij,ij->i", X[tests], folds.coefficients[fold]
         ) + folds.intercepts[fold]
-        left, path_runs = ~folds.fitted[fold], folds.path_runs
+        left = ~folds.fitted[fold]
     else:
         predictions, left = _knn_predictions(learner.k, dataset, train, tests, fold)
-        path_runs = 0
     refit = np.flatnonzero(np.logical_or.reduceat(left, bounds[:-1]))
     for i in refit.tolist():
         runs = slice(train.start[i], train.start[i + 1])
@@ -154,8 +153,8 @@ def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimat
         at = bounds[i] + np.flatnonzero(left[bounds[i] : bounds[i + 1]])
         predictions[at] = predict(model, X[tests[at]])
     logger.debug(
-        "run_plan %s %s: %d folds, %d path runs, %d fallback folds, %d fallback rows",
-        plan.method, learner.kind, len(plan.test), path_runs, refit.size, np.count_nonzero(left),
+        "run_plan %s %s: %d folds, %d fallback folds, %d fallback rows",
+        plan.method, learner.kind, len(plan.test), refit.size, np.count_nonzero(left),
     )
     squares = (predictions - y[tests]) ** 2
     if tests.size == len(plan.test):

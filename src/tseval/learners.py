@@ -4,21 +4,19 @@ Two learners: an L1-penalised linear model (lasso) on internally
 standardized predictors, and k-nearest-neighbours averaging. Both are
 deterministic. The lasso is solved exactly by following its piecewise-linear
 path from lambda_max down to the penalty (the homotopy / LARS-lasso method),
-one p x p active-set solve per breakpoint, so near-collinear predictors such
-as the lags of a random walk cost no more than well-conditioned ones.
+one active-set solve per breakpoint, so near-collinear predictors such as the
+lags of a random walk cost no more than well-conditioned ones.
 
-:func:`fit_lasso_folds` fits the lasso on every training set of a resampling
-plan at once, given as the plan's train row runs. Each set's means, standardized
-Gram matrix and correlations come from prefix sums of the rows and their outer
-products, summed over the set's runs. The path runs on the first unsolved set;
-its active set A and signs s are a candidate for all the others, which solve
-G_AA b = c_A - lam s in one stacked solve. A set takes b when b has the signs
-s and every inactive gradient |c_j - G_jA b| is at most lam: these are the
-lasso's KKT conditions, so b is its exact solution (within rounding). The path
-then runs on the first set that failed, and so on until every set is solved.
-Sets of fewer than two rows, and sets in which a column's variance is too
-small a share of its second moment for prefix sums to resolve, are left to
-:func:`fit`.
+One engine solves every lasso: it follows the paths of a stack of problems
+in lockstep, one stacked solve per breakpoint, and each problem's arithmetic
+is its own, so a fit does not depend on what else was in the stack. ``fit``
+gives it one problem. :func:`fit_lasso_folds` gives it every training set of
+a resampling plan, given as the plan's train row runs, a chunk of sets at a
+time. Each set's means, standardized Gram matrix and correlations come from
+prefix sums of the rows and their outer products, summed over the set's
+runs. Sets of fewer than two rows, and sets in which a column's variance is
+too small a share of its second moment for prefix sums to resolve, are left
+to :func:`fit`.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .embedding import nearest_rows
+from .embedding import _row_chunks, nearest_rows
 
 __all__ = [
     "LearnerSpec",
@@ -137,13 +135,13 @@ def _standardized_gram(
     return mu, sigma, S / np.outer(scales, scales), (y - y.mean()) @ Xc / (n * scales)
 
 
-def _kkt_residual(grad: np.ndarray, beta: np.ndarray, lam: float, live: np.ndarray) -> float:
-    """Worst stationarity residual: |grad_j| must equal ``lam`` where beta_j is
-    non-zero and must not exceed it on the other live coefficients."""
-    active = beta != 0
-    on = np.abs(np.abs(grad[active]) - lam)
-    off = np.abs(grad[live & ~active]) - lam
-    return float(max(np.max(on, initial=0.0), np.max(off, initial=0.0)))
+def _kkt_residual(grad: np.ndarray, beta: np.ndarray, lam, live: np.ndarray) -> np.ndarray:
+    """Worst stationarity residual of each problem (last axis): |grad_j| must
+    equal its ``lam`` where beta_j is non-zero and must not exceed it on the
+    other live coefficients."""
+    excess = np.abs(grad) - np.asarray(lam)[..., None]
+    residual = np.where(beta != 0, np.abs(excess), np.where(live, excess, 0.0))
+    return np.max(residual, axis=-1, initial=0.0)
 
 
 # The lasso path warns when it needs more breakpoints than this.
@@ -154,92 +152,113 @@ MAX_ITER = 1000
 _SPAN_TOL = 1e-10
 
 
-def _lasso_path(
-    G: np.ndarray, c: np.ndarray, lam: float, live: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Minimise 0.5 b'Gb - c'b + lam |b|_1 by following the lasso path from
-    lambda_max down to ``lam`` (homotopy / LARS-lasso; Osborne, Presnell and
-    Turlach 2000, Efron et al. 2004).
+def _lasso_paths(
+    G: np.ndarray, c: np.ndarray, lam: np.ndarray, live: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimise 0.5 b'G_f b - c_f'b + lam_f |b|_1 for each problem f of a
+    stack by following its lasso path from lambda_max down to lam_f (homotopy
+    / LARS-lasso; Osborne, Presnell and Turlach 2000, Efron et al. 2004).
 
     Between breakpoints the active coefficients are b_A(t) = u - t w with
     G_AA [u, w] = [c_A, s_A], and every gradient c - G b is r + t a, so each
     step solves the active system once and jumps to the next breakpoint: a
-    coefficient joining at |gradient| = t, or one reaching zero.
+    coefficient joining at |gradient| = t, or one reaching zero. The problems
+    step in lockstep, with one stacked solve per step in which each problem's
+    inactive rows and columns are the identity's, and each leaves the stack
+    once it reaches its penalty. No problem's arithmetic reads another's, so
+    a solution does not depend on the stack it was solved in.
     A live column that is (numerically) a combination of the active ones
     never joins, so G_AA stays non-singular; its gradient then follows the
-    active ones. Returns the coefficients and whether ``lam`` was reached
-    within ``MAX_ITER`` breakpoints.
+    active ones. Returns the coefficients and whether each problem reached
+    its penalty within ``MAX_ITER`` breakpoints.
     """
-    beta = np.zeros(c.size)
+    F, p = c.shape
+    beta = np.zeros((F, p))
+    reached = np.ones(F, dtype=bool)
     magnitude = np.where(live, np.abs(c), 0.0)
-    level = float(np.max(magnitude, initial=0.0))  # lambda_max: beta = 0 down to here
-    if level <= lam:
-        return beta, True
-    first = int(np.argmax(magnitude))
-    active = [first]
-    # rows [c_j, s_j, G_j]: the right-hand sides of the active system
-    rows = np.column_stack([c, np.zeros_like(c), G])
-    rows[first, 1] = np.sign(c[first])
-    joined, dropped, dropped_sign = first, -1, 0.0
-    diag = G.diagonal()
-    for _ in range(MAX_ITER):
-        A = np.array(active, dtype=int)
-        rhs = rows[A]
-        GA = rhs[:, 2:]
-        solved = np.linalg.solve(GA[:, A], rhs)
-        u, w = solved[:, 0], solved[:, 1]
-        ra = GA.T @ solved[:, :2]
-        r, a = c - ra[:, 0], ra[:, 1]
+    level = np.max(magnitude, axis=1, initial=0.0)  # lambda_max: beta = 0 down to here
+    go = np.flatnonzero(level > lam)
+    if not go.size:  # every solution is zero, as when there are no columns
+        return beta, reached
+    level, lam, live = level[go], lam[go], live[go]
+    # rows [c_j, s_j, G_j] of each problem: the right-hand sides of its active system
+    rows = np.concatenate([c[go, :, None], np.zeros((go.size, p, 1)), G[go]], axis=2)
+    at = np.arange(go.size)
+    col = np.argmax(magnitude[go], axis=1)  # the column of each problem's last event
+    rows[at, col, 1] = np.sign(rows[at, col, 0])
+    was = np.zeros(go.size)  # that column's sign before the event: 0 if it joined
+    identity = np.eye(p)
+    for step in range(MAX_ITER + 1):
+        if not go.size:
+            break
+        active = rows[:, :, 1] != 0
+        rhs = np.where(active[:, :, None], rows, 0.0)
+        system = np.where(active[:, :, None] & active[:, None, :], rows[:, :, 2:], identity)
+        solved = np.linalg.solve(system, rhs)
+        u, w = solved[:, :, 0], solved[:, :, 1]
+        ra = np.swapaxes(rhs[:, :, 2:], 1, 2) @ solved[:, :, :2]
+        r, a = rows[:, :, 0] - ra[:, :, 0], ra[:, :, 1]
         # a column in the span of the active ones would make G_AA singular
-        free = live & (diag - np.einsum("ij,ij->j", GA, solved[:, 2:]) > _SPAN_TOL * diag)
-        free[A] = False
+        diag = rows[:, :, 2:].diagonal(axis1=1, axis2=2)
+        span = np.sum(rhs[:, :, 2:] * solved[:, :, 2:], axis=1)
+        free = live & ~active & (diag - span > _SPAN_TOL * diag)
         with np.errstate(divide="ignore", invalid="ignore"):
             up = np.where(free & (a < 1.0), r / (1.0 - a), -np.inf)
             down = np.where(free & (a > -1.0), -r / (1.0 + a), -np.inf)
-            to_zero = np.where(rhs[:, 1] * w < 0.0, u / w, -np.inf)
+            to_zero = np.where(rows[:, :, 1] * w < 0.0, u / w, -np.inf)
         # A coefficient that just left may re-enter only at the opposite
         # bound, and one that just joined cannot leave before it has moved.
         # The direction tests above imply both in exact arithmetic; stating
         # them keeps rounding at a = +-1 or w = 0 from undoing a breakpoint,
         # which would cycle.
-        if dropped_sign > 0:
-            up[dropped] = -np.inf
-        elif dropped_sign < 0:
-            down[dropped] = -np.inf
-        if joined >= 0:
-            to_zero[-1] = -np.inf
-        events = (up.max(), down.max(), np.max(to_zero, initial=-np.inf))
-        kind = int(np.argmax(events))
-        nxt = min(events[kind], level)
-        if nxt <= lam:
-            beta[A] = u - lam * w
-            return beta, True
-        level = nxt
-        joined, dropped, dropped_sign = -1, -1, 0.0
-        if kind == 2:
-            k = int(np.argmax(to_zero))
-            dropped = active.pop(k)
-            dropped_sign, rows[dropped, 1] = rows[dropped, 1], 0.0
-        else:
-            joined = int(np.argmax(up if kind == 0 else down))
-            active.append(joined)
-            rows[joined, 1] = 1.0 if kind == 0 else -1.0
-    A = np.array(active, dtype=int)
-    beta[A] = np.linalg.solve(G[np.ix_(A, A)], c[A] - lam * rows[A, 1])
-    return beta, False
+        up[was > 0, col[was > 0]] = -np.inf
+        down[was < 0, col[was < 0]] = -np.inf
+        to_zero[was == 0, col[was == 0]] = -np.inf
+        events = np.stack([up, down, to_zero])
+        nearest = events.max(axis=2)
+        kind = np.argmax(nearest, axis=0)
+        level = np.minimum(nearest[kind, at], level)
+        done = level <= lam
+        if step == MAX_ITER:  # out of breakpoints: stop on the current active set
+            reached[go[~done]] = False
+            done[:] = True
+        beta[go[done]] = np.where(active, u - lam[:, None] * w, 0.0)[done]
+        col = np.argmax(events[kind, at], axis=1)
+        was = np.where(kind == 2, rows[at, col, 1], 0.0)
+        rows[at, col, 1] = np.array([1.0, -1.0, 0.0])[kind]
+        if done.any():
+            keep = ~done
+            go, rows, col, was, level, lam, live = (
+                x[keep] for x in (go, rows, col, was, level, lam, live))
+            at = at[: go.size]
+    return beta, reached
 
 
-def _path_solution(
-    spec: LearnerSpec, G: np.ndarray, c: np.ndarray, lam: float, live: np.ndarray
-) -> np.ndarray:
-    """The path's solution; warns when it misses ``spec``'s acceptance test."""
-    beta, reached = _lasso_path(G, c, lam, live)
-    if not reached or _kkt_residual(c - G @ beta, beta, lam, live) > 10.0 * spec.tol:
+def _lasso_fits(
+    spec: LearnerSpec, G: np.ndarray, c: np.ndarray, live: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of standardized lasso problems, a chunk of the stack at
+    a time, at ``spec.lam`` or by default 0.01 * max_j |c_j| of each problem.
+    Warns when a solution misses ``spec``'s acceptance test. Returns the
+    coefficients and the penalties."""
+    F, p = c.shape
+    if spec.lam is None:
+        lam = 0.01 * np.max(np.abs(c), axis=1, initial=0.0)
+    else:
+        lam = np.full(F, spec.lam)
+    beta = np.empty((F, p))
+    accepted = True
+    for part in _row_chunks(F, p * (p + 2)):
+        beta[part], reached = _lasso_paths(G[part], c[part], lam[part], live[part])
+        grad = c[part] - (G[part] @ beta[part, :, None])[:, :, 0]
+        residual = _kkt_residual(grad, beta[part], lam[part], live[part])
+        accepted &= bool(reached.all() and np.all(residual <= 10.0 * spec.tol))
+    if not accepted:
         warnings.warn(
             f"lasso path did not meet tol={spec.tol:g} within max_iter={MAX_ITER} steps",
             stacklevel=4,
         )
-    return beta
+    return beta, lam
 
 
 def _fit_lasso(spec: LearnerSpec, X: np.ndarray, y: np.ndarray) -> LassoModel:
@@ -247,21 +266,18 @@ def _fit_lasso(spec: LearnerSpec, X: np.ndarray, y: np.ndarray) -> LassoModel:
     mu, sigma, G, c = _standardized_gram(X, y)
     live = sigma > 0
     scales = np.where(live, sigma, 1.0)
-    lam = spec.lam
-    if lam is None:
-        lam = 0.01 * float(np.max(np.abs(c), initial=0.0))
     # with fewer than two rows, no columns or only constant ones, c is zero, and the
     # path returns the intercept-only model
-    beta = _path_solution(spec, G, c, lam, live)
-    coef = beta / scales
+    beta, lam = _lasso_fits(spec, G[None], c[None], live[None])
+    coef = beta[0] / scales
     return LassoModel(
         p=p,
         coefficients=coef,
         intercept=float(y.mean()) - float(coef @ mu),
-        std_coefficients=beta,
+        std_coefficients=beta[0],
         column_means=mu,
         column_scales=scales,
-        lam=lam,
+        lam=float(lam[0]),
     )
 
 
@@ -276,13 +292,11 @@ _MOMENT_TOL = 1e-8
 class LassoFolds:
     """Lasso fits of a stack of training sets, one row per set, in the
     original units. Rows where ``fitted`` is False are NaN: those sets are
-    left for :func:`fit`. ``path_runs`` counts the sets the path solved; the
-    others passed the KKT certificate."""
+    left for :func:`fit`."""
 
     coefficients: np.ndarray
     intercepts: np.ndarray
     fitted: np.ndarray
-    path_runs: int
 
 
 def _set_moments(Z: np.ndarray, trains) -> np.ndarray:
@@ -293,35 +307,6 @@ def _set_moments(Z: np.ndarray, trains) -> np.ndarray:
     prefix = np.zeros((n + 1, q + 1, q + 1))
     np.cumsum(W[:, :, None] * W[:, None, :], axis=0, out=prefix[1:])
     return np.add.reduceat(prefix[trains.hi] - prefix[trains.lo], trains.start[:-1])
-
-
-def _certify(G, c, lam, active, signs) -> tuple[np.ndarray, np.ndarray]:
-    """Solve every set's active system for the candidate (active, signs) in
-    one stacked solve; return the solutions and which of them meet the KKT
-    conditions exactly. A set is refused when an active column is within
-    ``_SPAN_TOL`` of the span of the other active ones, as the path would
-    never let it join; if any set's system is singular, none is certified
-    and the path solves the sets one by one."""
-    GA = G[:, :, active]
-    GAA = GA[:, active]
-    rhs = (c[:, active] - lam[:, None] * signs)[:, :, None]
-    identity = np.broadcast_to(np.eye(active.size), GAA.shape)
-    try:
-        solved = np.linalg.solve(GAA, np.concatenate([rhs, identity], axis=2))
-    except np.linalg.LinAlgError:
-        return rhs[:, :, 0], np.zeros(len(c), dtype=bool)
-    b = solved[:, :, 0]
-    # 1 / (G_AA^-1)_jj is what column j keeps of its norm off the other
-    # active columns
-    inverse = solved[:, :, 1:].diagonal(axis1=1, axis2=2)
-    ok = np.all((inverse > 0.0) & (_SPAN_TOL * GAA.diagonal(axis1=1, axis2=2) * inverse < 1.0),
-                axis=1)
-    ok &= np.all(np.sign(b) == signs, axis=1)
-    grad = c - (GA @ b[:, :, None])[:, :, 0]
-    inactive = np.ones(c.shape[1], dtype=bool)
-    inactive[active] = False
-    ok &= np.all(np.abs(grad[:, inactive]) <= lam[:, None], axis=1)
-    return b, ok
 
 
 def fit_lasso_folds(spec: LearnerSpec, predictors, targets, trains) -> LassoFolds:
@@ -350,28 +335,7 @@ def fit_lasso_folds(spec: LearnerSpec, predictors, targets, trains) -> LassoFold
     sigma = np.sqrt(var[solved, :p])
     G = cov[solved, :p, :p] / (sigma[:, :, None] * sigma[:, None, :])
     c = cov[solved, :p, p] / sigma
-    if spec.lam is None:
-        lam = 0.01 * np.max(np.abs(c), axis=1)
-    else:
-        lam = np.full(solved.size, spec.lam)
-    live = np.ones(p, dtype=bool)
-    beta = np.zeros((solved.size, p))
-    todo = np.arange(solved.size)
-    tried = set()
-    path_runs = 0
-    while todo.size:
-        head, todo = todo[0], todo[1:]
-        beta[head] = _path_solution(spec, G[head], c[head], lam[head], live)
-        path_runs += 1
-        active = np.flatnonzero(beta[head])
-        signs = np.sign(beta[head, active])
-        pattern = (active.tobytes(), signs.tobytes())
-        if not todo.size or pattern in tried:
-            continue  # every set still to do has already failed this pattern
-        tried.add(pattern)
-        b, ok = _certify(G[todo], c[todo], lam[todo], active, signs)
-        beta[todo[ok][:, None], active] = b[ok]
-        todo = todo[~ok]
+    beta, _ = _lasso_fits(spec, G, c, np.ones_like(c, dtype=bool))
 
     F = len(count)
     coefficients = np.full((F, p), np.nan)
@@ -380,7 +344,7 @@ def fit_lasso_folds(spec: LearnerSpec, predictors, targets, trains) -> LassoFold
     intercepts[solved] = mean[solved, p] + shift[p] - np.einsum(
         "ij,ij->i", coefficients[solved], mean[solved, :p] + shift[:p]
     )
-    return LassoFolds(coefficients, intercepts, fitted, path_runs)
+    return LassoFolds(coefficients, intercepts, fitted)
 
 
 def fit(spec: LearnerSpec, predictors, targets) -> LassoModel | KnnModel:
@@ -416,4 +380,4 @@ def kkt_violation(model: LassoModel, predictors, targets) -> float:
     Xs = (X - model.column_means) / model.column_scales
     r = (y - y.mean()) - Xs @ model.std_coefficients
     grad = Xs.T @ r / y.size
-    return _kkt_residual(grad, model.std_coefficients, model.lam, X.std(axis=0) > 0)
+    return float(_kkt_residual(grad, model.std_coefficients, model.lam, X.std(axis=0) > 0))

@@ -90,6 +90,19 @@ def test_benchmark_writes_results_and_ranks(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1 + 22
 
 
+def test_benchmark_keeps_its_results_when_the_baseline_failed_everywhere(tmp_path, capsys, caplog):
+    # n = 9 rows: Rep-Holdout's windows are infeasible, the K = 10 methods fail,
+    # and Holdout, Preq-Grow and Preq-Slide still give a result per problem
+    out = tmp_path / "o.csv"
+    assert run_cli("benchmark", "--dgp", "s1", "--trials", "2", "--length", "20",
+                   "--out", str(out)) == 2
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert sorted({row[1] for row in rows}) == ["Holdout", "Preq-Grow", "Preq-Slide"]
+    assert len(rows) == 6
+    assert "p_left" not in capsys.readouterr().out
+    assert "baseline Rep-Holdout has no results" in caplog.text
+
+
 def test_evaluate_then_rank_and_compare(tmp_path, capsys):
     rng = np.random.default_rng(2)
     series_path = tmp_path / "s.csv"

@@ -25,6 +25,7 @@ from tseval import (
     predict,
     run_plan,
 )
+from tseval import learners
 from tseval.embedding import KNN_WINDOW, squared_distances
 from tseval.synthetic import simulate
 
@@ -120,6 +121,21 @@ def test_zero_penalty_with_duplicated_column_matches_least_squares():
     design = np.column_stack([np.ones(40), X])
     ref, *_ = np.linalg.lstsq(design, y, rcond=None)
     assert predict(model, X) == pytest.approx(design @ ref, abs=1e-8)
+
+
+def test_path_out_of_breakpoints_warns_and_stops_on_its_active_set(monkeypatch):
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(40, 6))
+    y = X @ rng.normal(size=6) + rng.normal(size=40)
+    monkeypatch.setattr(learners, "MAX_ITER", 2)
+    with pytest.warns(UserWarning, match="max_iter=2"):
+        model = fit(LearnerSpec(lam=0.0), X, y)
+    # two columns joined after the first, and at lam = 0 the active gradients vanish
+    active = model.std_coefficients != 0
+    assert np.count_nonzero(active) == 3
+    Xs = (X - model.column_means) / model.column_scales
+    grad = Xs.T @ (y - y.mean() - Xs @ model.std_coefficients) / y.size
+    assert np.abs(grad[active]).max() <= 1e-12
 
 
 def test_default_penalty_is_lambda_max_fraction():
@@ -314,16 +330,34 @@ def test_stacked_folds_meet_their_kkt_conditions(kind):
             assert kkt_violation(model, X, y) <= 10.0 * spec.tol
 
 
-def test_shift_series_needs_more_than_one_path_run():
-    # the level shift changes the sign pattern along the plan, so the first
-    # path run's candidate certifies only part of the folds
+def test_shift_series_folds_take_more_than_one_sign_pattern():
+    # the level shift changes the active set and signs along the plan
     ds = embed(TimeSeries(_shift(np.random.default_rng(1), 800)), 5)
     plan = build_plan("Preq-Grow", ds.n)
     folds, models = _fold_models(LearnerSpec(), ds, plan)
-    assert 1 < folds.path_runs < len(plan.iterations)
     assert len(models) == len(plan.iterations)
+    assert len({np.sign(model.coefficients).tobytes() for model, _, _ in models}) >= 2
     for model, X, y in models:
         assert kkt_violation(model, X, y) <= 1e-5
+
+
+@pytest.mark.parametrize("p", [2, 5, 30])
+@pytest.mark.parametrize("kind", ["walk", "shift", "trend"])
+def test_a_fold_fits_the_same_alone_or_in_its_plan(kind, p):
+    # at p = 30 the 185 Preq-Grow folds span two chunks of the stacked path
+    values = SERIES[kind](np.random.default_rng([p, len(kind)]), 200 if p < 30 else 400)
+    ds = embed(TimeSeries(values), p)
+    spec = LearnerSpec()
+    for method in ("Preq-Grow", "CV", "Rep-Holdout", "Preq-Bls"):
+        train = build_plan(method, ds.n, p=p, seed=3).train
+        folds = fit_lasso_folds(spec, ds.predictors, ds.targets, train)
+        F = len(train.start) - 1
+        for i in range(0, F, max(1, F // 12)):
+            runs = slice(train.start[i], train.start[i + 1])
+            alone = fit_lasso_folds(spec, ds.predictors, ds.targets,
+                                    Runs(train.lo[runs], train.hi[runs], [0, runs.stop - runs.start]))
+            assert np.array_equal(alone.coefficients[0], folds.coefficients[i]), (method, i)
+            assert alone.intercepts[0] == folds.intercepts[i], (method, i)
 
 
 def test_nearly_constant_column_falls_back_to_fit(caplog):
@@ -374,13 +408,13 @@ def test_zero_penalty_on_a_line_predicts_exactly():
 
 
 @pytest.mark.parametrize("equal_rows_first", [True, False])
-def test_collinear_candidate_columns_leave_the_fold_to_the_path(equal_rows_first):
+def test_collinear_columns_give_no_singular_solution(equal_rows_first):
     # small integers keep the dataset means exact and equal; the two columns
-    # are equal on one fold and independent on the other, whose two-column
-    # active set is the candidate. With the equal rows first their prefix
-    # sums agree bit for bit and the candidate's system is exactly singular;
-    # with them second it is singular only up to rounding, and the solution
-    # it gives (~1e12 coefficients) would pass the sign and gradient tests
+    # are equal on one fold and independent on the other. With the equal rows
+    # first their prefix sums agree bit for bit and that fold's two-column
+    # system is exactly singular; with them second it is singular only up to
+    # rounding, and its solution (~1e12 coefficients) would pass the sign and
+    # gradient tests. The path never lets the second equal column join
     rng = np.random.default_rng(6)
     free = rng.integers(-5, 6, size=50).astype(float)
     equal = rng.integers(-5, 6, size=50).astype(float)
@@ -392,8 +426,9 @@ def test_collinear_candidate_columns_leave_the_fold_to_the_path(equal_rows_first
     spec = LearnerSpec()
     runs = Runs([t[0] for t in trains], [t[-1] + 1 for t in trains], [0, 1, 2])
     folds = fit_lasso_folds(spec, X, y, runs)
-    assert folds.fitted.all() and folds.path_runs == 2
+    assert folds.fitted.all()
     for i, train in enumerate(trains):
+        assert np.all(np.abs(folds.coefficients[i] * X[train].std(axis=0)) <= 1e3)
         model = fit(spec, X[train], y[train])
         assert X[train] @ folds.coefficients[i] + folds.intercepts[i] == pytest.approx(
             predict(model, X[train]), rel=1e-9
