@@ -61,12 +61,9 @@ from .stationarity import (
 )
 from .synthetic import (
     DGPSpec,
-    default_s3_coefficients,
     derive_seed,
-    fit_seasonal_ar,
     monte_carlo,
     positivize,
-    reference_deaths_series,
     roots_to_ar_coefficients,
     sample_roots,
     simulate,

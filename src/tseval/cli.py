@@ -18,10 +18,10 @@ and Bayes tables are formatted in one place each, so a table written to a
 file (``--ranks``, ``rank --out``, ``compare --out``) holds the same bytes as
 the one printed.
 
-Exit codes: 0 on success, 1 on fatal errors, 2 when some problems or methods
-failed but the run completed. Fatal errors include usage errors: an unknown
-flag or config key, a missing required flag, or a bad value, whether given on
-the command line or in the config file.
+Exit codes: 0 on success, 1 on fatal errors or when no input gave a result, 2
+when some problems or methods failed but the run completed. Fatal errors
+include usage errors: an unknown flag or config key, a missing required flag,
+or a bad value, whether given on the command line or in the config file.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .harness import (
     results_rank_table,
     results_to_csv,
     run_experiment,
+    warnings_logged,
 )
 from .learners import LearnerSpec
 from .series import load_csv, write_csv, write_rows
@@ -80,7 +81,7 @@ def _optional_float(text: str):
 def read_config(path) -> dict[str, str]:
     """Flat key=value file; blank lines and #-comments are ignored."""
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -150,7 +151,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     bm = add_parser("benchmark", help="synthetic estimator-accuracy study")
     bm.add_argument("--dgp", choices=DGP_KINDS, required=True)
-    bm.add_argument("--trials", type=int, default=200)
+    bm.add_argument("--trials", type=int, default=ExperimentConfig.trials)
     bm.add_argument("--length", type=int, default=200)
     bm.add_argument("--seed", type=int, default=1)
     bm.add_argument("--methods", type=_methods, default=METHODS)
@@ -364,7 +365,6 @@ def _cmd_stationarity(args) -> int:
     if not 0.0 < args.alpha < 0.5:
         raise ValueError(f"--alpha must lie in (0, 0.5), got {args.alpha}")
     rows = []
-    code = 0
     for path in args.csv:
         try:
             series = load_csv(path, args.column)
@@ -372,7 +372,6 @@ def _cmd_stationarity(args) -> int:
             verdict = wavelet_stationarity_test(series, args.alpha, args.correction)
         except Exception as exc:  # noqa: BLE001 - keep scanning other files
             logger.warning("stationarity on %s failed: %s", path, exc)
-            code = 2
             continue
         triples = ";".join(
             f"{r.periodogram_level}:{r.coefficient_scale}:{r.position}"
@@ -380,15 +379,16 @@ def _cmd_stationarity(args) -> int:
         )
         rows.append([series.name, order, int(verdict.stationary), triples])
     write_rows(sys.stdout, ["name", "I", "S", "rejections"], rows)
-    return code
+    if len(rows) < len(args.csv):
+        return 2 if rows else 1
+    return 0
 
 
 def _cmd_embed(args) -> int:
     series = load_csv(args.csv, args.column)
     if args.p == "auto":
-        p = estimate_embedding_dimension(
-            series, d_max=args.d_max, tolerance=args.fnn_tolerance
-        )
+        with warnings_logged(series.name):
+            p = estimate_embedding_dimension(series, d_max=args.d_max, tolerance=args.fnn_tolerance)
     else:
         p = int(args.p)
     dataset = embed_rows(series, p)  # checks p before anything is printed

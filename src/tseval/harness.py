@@ -8,6 +8,7 @@ import io
 import logging
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +41,7 @@ __all__ = [
     "comparisons_csv",
     "results_rank_table",
     "compare_to_baseline",
+    "warnings_logged",
 ]
 
 logger = logging.getLogger("tseval")
@@ -54,7 +56,7 @@ class ExperimentConfig:
     csv_paths: tuple = ()
     csv_column: str | int = 0
     dgp: str | None = None
-    trials: int = 100
+    trials: int = 200
     length: int = 200
     estimation_fraction: float = 0.7
     embedding: str | int = "auto"  # "auto" (FNN) or a fixed dimension
@@ -123,21 +125,27 @@ def _problems(config: ExperimentConfig) -> list[TimeSeries]:
     return problems
 
 
-def _choose_dimension(config: ExperimentConfig, series: TimeSeries) -> int:
-    """The fixed dimension, or FNN's choice. Python shows a warning once per
-    call site, so FNN's fallback warning is logged here, naming the problem,
-    and other warnings are shown as they would have been."""
-    if config.embedding != "auto":
-        return int(config.embedding)
+@contextmanager
+def warnings_logged(problem: str):
+    """Log every UserWarning of the block, such as FNN's fallback, as ``problem
+    NAME: message`` (Python would show it once per call site, not per problem),
+    and show other warnings as they would have been."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        p = estimate_embedding_dimension(series, d_max=config.d_max, tolerance=config.fnn_tolerance)
+        yield
     for w in caught:
         if issubclass(w.category, UserWarning):
-            logger.warning("problem %s: %s", series.name, w.message)
+            logger.warning("problem %s: %s", problem, w.message)
         else:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    return p
+
+
+def _choose_dimension(config: ExperimentConfig, series: TimeSeries) -> int:
+    """The fixed dimension, or FNN's choice."""
+    if config.embedding != "auto":
+        return int(config.embedding)
+    with warnings_logged(series.name):
+        return estimate_embedding_dimension(series, config.d_max, config.fnn_tolerance)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
@@ -269,7 +277,7 @@ def read_results_csv(path) -> list[EstimationResult]:
     path = Path(path)
     results = []
     first_line: dict[tuple[str, str], int] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         expected = RESULTS_HEADER.split(",")
         if reader.fieldnames != expected:

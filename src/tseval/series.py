@@ -47,18 +47,19 @@ class TimeSeries:
         return TimeSeries(self.values[start:stop], self.name)
 
 
-def load_csv(path, column: str | int = 0, name: str | None = None) -> TimeSeries:
+def load_csv(path, column: str | int = 0) -> TimeSeries:
     """Read one column of a CSV file as a time series.
 
     The file may carry a single header row; it is detected by the first
     row's cell failing to parse as a number. ``column`` selects by
     zero-based index or, when the file has a header, by name. Rows are
-    taken in file order. Error messages use 1-based file line numbers.
+    taken in file order, after any UTF-8 byte-order mark, and the series is
+    named after the file stem. Error messages use 1-based file line numbers.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path}: file is empty")
@@ -95,7 +96,7 @@ def load_csv(path, column: str | int = 0, name: str | None = None) -> TimeSeries
             ) from None
     if not values:
         raise ValueError(f"{path}: column {column!r} is empty")
-    return TimeSeries(np.asarray(values), name=name or path.stem)
+    return TimeSeries(np.asarray(values), name=path.stem)
 
 
 def write_rows(fh, header, rows) -> None:

@@ -9,35 +9,32 @@
 
 S1/S2 draw real characteristic roots uniformly from
 [-r, -1.1] + [1.1, r], which keeps them stable/invertible by
-construction. S3's intercept c and seasonal coefficient Phi are fixed: they
-are the least-squares fit of that model to the bundled monthly US
-accidental-deaths series (:func:`default_s3_coefficients`), and |Phi| < 1
-keeps the process stable. Every generated series is shifted to a minimum of
-exactly 1.
+construction. S3's intercept c and seasonal coefficient Phi are the constants
+``S3_INTERCEPT`` and ``S3_SEASONAL``, fitted once by least squares to the
+monthly US accidental deaths of 1973-1978; ``tests/golden`` holds that series
+and the test that refits it. |Phi| < 1 keeps the process stable. Every
+generated series is shifted to a minimum of exactly 1.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 
 import numpy as np
 
-from .series import TimeSeries, load_csv
+from .series import TimeSeries
 
 __all__ = [
     "DGP_KINDS",
+    "S3_INTERCEPT",
+    "S3_SEASONAL",
     "DGPSpec",
     "sample_roots",
     "roots_to_ar_coefficients",
     "simulate_ar",
     "simulate_ma1",
     "positivize",
-    "fit_seasonal_ar",
-    "default_s3_coefficients",
-    "reference_deaths_series",
     "simulate",
     "monte_carlo",
     "derive_seed",
@@ -45,6 +42,8 @@ __all__ = [
 
 DGP_KINDS = ("s1", "s2", "s3")
 SEASONAL_PERIOD = 12
+S3_INTERCEPT = 2006.858908595285
+S3_SEASONAL = 0.7522454193707956
 
 
 @dataclass(frozen=True)
@@ -145,41 +144,10 @@ def simulate(spec: DGPSpec, rng: np.random.Generator, name: str | None = None) -
         if spec.kind == "s1":
             phi, intercept = roots_to_ar_coefficients(sample_roots(3, spec.r, rng)), 0.0
         else:
-            intercept, seasonal = default_s3_coefficients()
-            phi = np.zeros(SEASONAL_PERIOD)
-            phi[-1] = seasonal
+            phi, intercept = np.zeros(SEASONAL_PERIOD), S3_INTERCEPT
+            phi[-1] = S3_SEASONAL
         y = simulate_ar(phi, spec.length, rng, spec.burn_in, spec.innovation_sd, intercept)
     return positivize(TimeSeries(y, spec.kind if name is None else name))
-
-
-def fit_seasonal_ar(series: TimeSeries) -> np.ndarray:
-    """Least-squares fit of y_t = c + Phi y_{t-12}; returns (c, Phi)."""
-    t = len(series)
-    if t <= SEASONAL_PERIOD + 1:
-        raise ValueError(f"series length {t} too short for a lag-{SEASONAL_PERIOD} fit")
-    y = series.values[SEASONAL_PERIOD:]
-    X = np.column_stack([np.ones(t - SEASONAL_PERIOD), series.values[: t - SEASONAL_PERIOD]])
-    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
-        raise ValueError("singular design: the seasonal lag is constant")
-    return coef
-
-
-def reference_deaths_series() -> TimeSeries:
-    """Bundled monthly accidental-deaths series used for the S3 defaults."""
-    with resources.as_file(
-        resources.files("tseval").joinpath("data/us_accidental_deaths.csv")
-    ) as path:
-        return load_csv(path, column="deaths", name="us_accidental_deaths")
-
-
-@lru_cache(maxsize=1)
-def default_s3_coefficients() -> tuple[float, float]:
-    """S3's (intercept, seasonal coefficient), fitted to the bundled series."""
-    intercept, seasonal = map(float, fit_seasonal_ar(reference_deaths_series()))
-    if not abs(seasonal) < 1.0:
-        raise ValueError(f"seasonal AR coefficient {seasonal} is unstable")
-    return intercept, seasonal
 
 
 def derive_seed(base_seed: int, *parts) -> int:

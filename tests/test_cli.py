@@ -10,8 +10,8 @@ import pytest
 
 import tseval
 from tseval import EstimationResult, TimeSeries, load_csv, write_csv
-from tseval.cli import main
-from tseval.harness import results_to_csv
+from tseval.cli import build_parser, main
+from tseval.harness import ExperimentConfig, results_to_csv
 
 
 def run_cli(*args):
@@ -205,6 +205,20 @@ def test_stationarity_quotes_names_with_commas(tmp_path, capsys):
                                                   ["a,b", "0", "1", ""]]
 
 
+def test_stationarity_exits_1_when_no_input_gave_a_row(tmp_path, capsys, caplog):
+    assert run_cli("stationarity", "--csv", str(tmp_path / "missing.csv")) == 1
+    assert capsys.readouterr().out == "name,I,S,rejections\n"
+    assert "missing.csv failed" in caplog.text
+
+
+def test_stationarity_exits_2_when_some_inputs_failed(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    write_csv(TimeSeries(np.random.default_rng(0).normal(size=300), name="s"), path)
+    code = run_cli("stationarity", "--csv", str(path), "--csv", str(tmp_path / "missing.csv"))
+    assert code == 2
+    assert capsys.readouterr().out.splitlines()[1:] == ["s,0,1,"]
+
+
 @pytest.mark.parametrize("flags", [("--max-d", "3"), ("--alpha", "0.7"), ("--alpha", "0")])
 def test_stationarity_rejects_bad_flag_values(tmp_path, capsys, flags):
     path = tmp_path / "s.csv"
@@ -322,6 +336,17 @@ def test_embed_subcommand(tmp_path, capsys):
     assert lines[-1].startswith("29,")
 
 
+def test_embed_logs_the_fnn_fallback_like_evaluate(tmp_path, capsys, caplog):
+    path = tmp_path / "noise.csv"
+    write_csv(TimeSeries(np.random.default_rng(0).normal(size=300)), path)
+    assert run_cli("embed", "--csv", str(path), "--p", "auto", "--d-max", "2") == 0
+    assert capsys.readouterr().out == "p=2\n"
+    assert [r.getMessage() for r in caplog.records] == [
+        "problem noise: false-neighbour fraction stayed above 0.01 up to d_max=2; "
+        "returning d_max"
+    ]
+
+
 @pytest.mark.parametrize("p", ["0", "-3", "30", "31"])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_embed_rejects_a_bad_dimension_before_printing(tmp_path, capsys, p, to_file):
@@ -332,6 +357,28 @@ def test_embed_rejects_a_bad_dimension_before_printing(tmp_path, capsys, p, to_f
     assert run_cli("embed", "--csv", str(series_path), "--p", p, *flags) == 1
     assert capsys.readouterr().out == ""
     assert not out.exists()
+
+
+def test_benchmark_runs_the_library_study_by_default():
+    parser, _ = build_parser()
+    args = parser.parse_args(["benchmark", "--dgp", "s1", "--out", "r.csv"])
+    assert args.trials == ExperimentConfig(dgp="s1").trials == 200
+
+
+def test_config_and_results_files_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results_to_csv(
+        [EstimationResult.from_losses(problem, method, 1.0 + i, 1.0) for problem in ("a", "b")
+         for i, method in enumerate(("CV", "Holdout"))],
+        results,
+    )
+    assert run_cli("rank", "--results", str(results)) == 0
+    plain = capsys.readouterr().out
+    results.write_bytes(b"\xef\xbb\xbf" + results.read_bytes())
+    config = tmp_path / "rank.conf"
+    config.write_text(f"\ufeffresults={results}\n", encoding="utf-8")
+    assert run_cli("rank", "--config", str(config)) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_config_file_supplies_flags(tmp_path, capsys):

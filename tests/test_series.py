@@ -89,6 +89,17 @@ def test_load_csv_rejects_a_negative_column_index(tmp_path):
         load_csv(path, column=-1)
 
 
+@pytest.mark.parametrize("text, column, expected", [
+    ("\ufeff1.5\n2.5\n3.5\n", 0, [1.5, 2.5, 3.5]),
+    ("\ufeffy,x\n1.5,0\n2.5,0\n", "y", [1.5, 2.5]),
+])
+def test_load_csv_skips_a_byte_order_mark(tmp_path, text, column, expected):
+    # spreadsheet "CSV UTF-8" exports start with one
+    path = tmp_path / "f.csv"
+    path.write_text(text, encoding="utf-8")
+    assert list(load_csv(path, column=column).values) == expected
+
+
 @settings(max_examples=100)
 @given(values=finite_values)
 def test_csv_round_trip_bit_exact(tmp_path_factory, values):

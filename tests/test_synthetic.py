@@ -1,4 +1,3 @@
-import json
 from pathlib import Path
 
 import numpy as np
@@ -9,19 +8,17 @@ from hypothesis import strategies as st
 from tseval import (
     DGPSpec,
     TimeSeries,
-    default_s3_coefficients,
-    fit_seasonal_ar,
+    load_csv,
     monte_carlo,
     positivize,
-    reference_deaths_series,
     roots_to_ar_coefficients,
     sample_roots,
     simulate,
     simulate_ma1,
 )
-from tseval.synthetic import DGP_KINDS, derive_seed, simulate_ar
+from tseval.synthetic import DGP_KINDS, S3_INTERCEPT, S3_SEASONAL, derive_seed, simulate_ar
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "s3_coefficients.json").read_text())
+DEATHS = Path(__file__).parent / "golden" / "us_accidental_deaths.csv"
 
 
 def test_sample_roots_band_and_mean():
@@ -105,8 +102,7 @@ def test_simulate_replays_its_generator(kind):
             assert 0.2 - 1e-12 <= abs(theta) <= 1 / 1.1 + 1e-12
             y = simulate_ma1(theta, 40, rng, 25)
         else:
-            intercept, seasonal = default_s3_coefficients()
-            y = simulate_ar([0.0] * 11 + [seasonal], 40, rng, 25, intercept=intercept)
+            y = simulate_ar([0.0] * 11 + [S3_SEASONAL], 40, rng, 25, intercept=S3_INTERCEPT)
         got = simulate(spec, np.random.default_rng(seed))
         assert got.name == kind
         assert got.values.tobytes() == positivize(TimeSeries(y)).values.tobytes()
@@ -123,58 +119,25 @@ def test_ma1_autocorrelation_matches_formula():
     assert lag2 == pytest.approx(0.0, abs=0.01)
 
 
-def test_fit_seasonal_ar_exact_recovery():
-    z = np.zeros(120)
-    z[:12] = np.linspace(1.0, 4.0, 12)
-    for t in range(12, 120):
-        z[t] = 0.8 * z[t - 12]
-    coef = fit_seasonal_ar(TimeSeries(z))
-    assert coef[0] == pytest.approx(0.0, abs=1e-8)
-    assert coef[1] == pytest.approx(0.8, abs=1e-8)
-
-
-def test_fit_seasonal_ar_residuals_orthogonal():
-    series = reference_deaths_series()
-    coef = fit_seasonal_ar(series)
-    y = series.values
-    resid = y[12:] - coef[0] - coef[1] * y[:-12]
-    assert abs(resid.mean()) < 1e-8
-    assert abs(resid @ y[:-12]) / len(resid) < 1e-6
-
-
-def test_bundled_series_golden_coefficients():
-    coef = fit_seasonal_ar(reference_deaths_series())
-    assert coef[0] == pytest.approx(GOLDEN["intercept"], abs=1e-9)
-    assert coef[1] == pytest.approx(GOLDEN["seasonal"], abs=1e-12)
-    intercept, seasonal = default_s3_coefficients()
-    assert intercept == pytest.approx(GOLDEN["intercept"], abs=1e-9)
-    assert seasonal == pytest.approx(GOLDEN["seasonal"], abs=1e-12)
-    assert abs(seasonal) < 1.0
-
-
-def test_fit_seasonal_ar_white_noise_sampling_distribution():
-    phis = np.array(
-        [
-            fit_seasonal_ar(TimeSeries(np.random.default_rng(seed).normal(size=400)))[1]
-            for seed in range(100)
-        ]
-    )
-    assert abs(phis.mean()) < 0.1
-    assert np.abs(phis).max() < 0.2
-
-
-def test_fit_seasonal_ar_too_short():
-    with pytest.raises(ValueError):
-        fit_seasonal_ar(TimeSeries(np.arange(13.0)))
+def test_s3_constants_are_the_seasonal_fit_to_the_deaths_series():
+    # least squares of y_t = c + Phi y_{t-12} on the 72 monthly US accidental
+    # deaths of 1973-1978
+    y = load_csv(DEATHS, column="deaths").values
+    assert y.size == 72
+    X = np.column_stack([np.ones(y.size - 12), y[:-12]])
+    (intercept, seasonal), _, rank, _ = np.linalg.lstsq(X, y[12:], rcond=None)
+    assert rank == 2
+    assert intercept == pytest.approx(S3_INTERCEPT, abs=1e-9)
+    assert seasonal == pytest.approx(S3_SEASONAL, abs=1e-12)
+    assert abs(S3_SEASONAL) < 1.0
 
 
 def test_s3_is_the_fitted_seasonal_recursion():
-    intercept, seasonal = default_s3_coefficients()
     series = simulate(DGPSpec(kind="s3", length=60, burn_in=30), np.random.default_rng(4))
     eps = np.random.default_rng(4).normal(size=12 + 30 + 60)
     y = np.zeros(eps.size)
     for t in range(12, y.size):
-        y[t] = intercept + seasonal * y[t - 12] + eps[t]
+        y[t] = S3_INTERCEPT + S3_SEASONAL * y[t - 12] + eps[t]
     expected = y[12 + 30 :]
     assert np.allclose(series.values, expected - expected.min() + 1.0, rtol=0.0, atol=1e-9)
 
