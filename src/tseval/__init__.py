@@ -11,12 +11,9 @@ from types import ModuleType as _ModuleType
 from .embedding import EmbeddedDataset, embed, estimate_embedding_dimension, fnn_fractions
 from .evaluation import (
     EstimationResult,
-    apae,
     average_ranks,
     bayes_sign_test,
     estimate_loss,
-    pae,
-    pct_diff,
     rmse,
     run_plan,
     true_loss,

@@ -16,7 +16,10 @@ than adding to it. Flags must be spelled out in full: an abbreviation such as
 Output files and stdout use ``\n`` line endings on every platform. The rank
 and Bayes tables are formatted in one place each, so a table written to a
 file (``--ranks``, ``rank --out``, ``compare --out``) holds the same bytes as
-the one printed.
+the one printed. ``--ranks`` always receives the run's table: the header alone
+when no problem has a result for every method, in which case nothing is
+printed. An ``--out``, ``--ranks`` or ``--long-csv`` file whose directory does
+not exist is a fatal error before any work; ``--out-dir`` is created.
 
 Exit codes: 0 on success, 1 on fatal errors or when no input gave a result, 2
 when some problems or methods failed but the run completed. Fatal errors
@@ -37,6 +40,7 @@ from .embedding import embed as embed_rows
 from .embedding import estimate_embedding_dimension
 from .harness import (
     ExperimentConfig,
+    _by_problem,
     comparisons_csv,
     compare_to_baseline,
     rank_table_csv,
@@ -55,7 +59,6 @@ from .synthetic import DGP_KINDS, DGPSpec, monte_carlo
 logger = logging.getLogger("tseval")
 
 SYNTHETIC_EMBEDDING_DIM = 5  # the synthetic study embeds with 5 lags instead of FNN
-_ROPE_HELP = "half-width of the practical-equivalence region, in percent"
 
 
 def _column(text: str):
@@ -97,13 +100,21 @@ def _learner_from_args(args) -> LearnerSpec:
 
 
 def _add_learner_flags(sub) -> None:
-    sub.add_argument("--learner", choices=("lasso", "knn"), default="lasso")
-    sub.add_argument("--lam", type=_optional_float, default=None,
+    sub.add_argument("--learner", choices=("lasso", "knn"), default=LearnerSpec.kind)
+    sub.add_argument("--lam", type=_optional_float, default=LearnerSpec.lam,
                      help="lasso penalty; default picks 0.01 * lambda_max per fold")
-    sub.add_argument("--knn-k", type=int, default=5)
+    sub.add_argument("--knn-k", type=int, default=LearnerSpec.k)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _add_embedding_flags(sub) -> None:
+    sub.add_argument("--column", type=_column, default=ExperimentConfig.csv_column)
+    sub.add_argument("--p", type=_dimension, default=ExperimentConfig.embedding,
+                     help="embedding dimension, or 'auto' for FNN selection")
+    sub.add_argument("--d-max", type=int, default=ExperimentConfig.d_max)
+    sub.add_argument("--fnn-tolerance", type=float, default=ExperimentConfig.fnn_tolerance)
+
+
+def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file mirroring the flags")
     common.add_argument("--verbose", action="store_true")
@@ -115,91 +126,79 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     add_parser = partial(subparsers.add_parser, parents=[common], allow_abbrev=False)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     sim = add_parser("simulate", help="draw synthetic series and write them as CSV")
     sim.add_argument("--dgp", choices=DGP_KINDS, required=True)
     sim.add_argument("--trials", type=int, default=1)
-    sim.add_argument("--length", type=int, default=200)
-    sim.add_argument("--seed", type=int, default=1)
-    sim.add_argument("--root-bound", type=float, default=5.0)
-    sim.add_argument("--burn-in", type=int, default=200)
-    sim.add_argument("--innovation-sd", type=float, default=1.0)
+    sim.add_argument("--length", type=int, default=DGPSpec.length)
+    sim.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
+    sim.add_argument("--root-bound", type=float, default=DGPSpec.r)
+    sim.add_argument("--burn-in", type=int, default=DGPSpec.burn_in)
+    sim.add_argument("--innovation-sd", type=float, default=DGPSpec.innovation_sd)
     sim.add_argument("--out-dir", help="write one CSV per trial here")
     sim.add_argument("--long-csv", help="write a single trial,t,value CSV")
-    registry["simulate"] = sim
 
     ev = add_parser("evaluate", help="estimate forecasting loss on your own series")
     ev.add_argument("--csv", action="append", default=None, required=True,
                     help="input series file; repeatable")
-    ev.add_argument("--column", type=_column, default=0)
-    ev.add_argument("--p", type=_dimension, default="auto",
-                    help="embedding dimension, or 'auto' for FNN selection")
-    ev.add_argument("--d-max", type=int, default=30)
-    ev.add_argument("--fnn-tolerance", type=float, default=0.01)
-    ev.add_argument("--fraction", type=float, default=0.7,
+    _add_embedding_flags(ev)
+    ev.add_argument("--fraction", type=float, default=ExperimentConfig.estimation_fraction,
                     help="estimation part of the series")
-    ev.add_argument("--methods", type=_methods, default=METHODS,
+    ev.add_argument("--methods", type=_methods, default=ExperimentConfig.methods,
                     help="comma-separated subset of the 11 method names")
-    ev.add_argument("--K", type=int, default=10)
-    ev.add_argument("--nreps", type=int, default=10)
-    ev.add_argument("--seed", type=int, default=1)
+    ev.add_argument("--K", type=int, default=ExperimentConfig.K)
+    ev.add_argument("--nreps", type=int, default=ExperimentConfig.nreps)
+    ev.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
     _add_learner_flags(ev)
     ev.add_argument("--out", required=True, help="results CSV path")
     ev.add_argument("--ranks", help="optional rank-table CSV path")
-    registry["evaluate"] = ev
 
     bm = add_parser("benchmark", help="synthetic estimator-accuracy study")
     bm.add_argument("--dgp", choices=DGP_KINDS, required=True)
     bm.add_argument("--trials", type=int, default=ExperimentConfig.trials)
-    bm.add_argument("--length", type=int, default=200)
-    bm.add_argument("--seed", type=int, default=1)
-    bm.add_argument("--methods", type=_methods, default=METHODS)
-    bm.add_argument("--K", type=int, default=10)
-    bm.add_argument("--nreps", type=int, default=10)
+    bm.add_argument("--length", type=int, default=ExperimentConfig.length)
+    bm.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
+    bm.add_argument("--methods", type=_methods, default=ExperimentConfig.methods)
+    bm.add_argument("--K", type=int, default=ExperimentConfig.K)
+    bm.add_argument("--nreps", type=int, default=ExperimentConfig.nreps)
     _add_learner_flags(bm)
     bm.add_argument("--baseline", choices=METHODS, default="Rep-Holdout")
-    bm.add_argument("--rope", type=float, default=2.5, help=_ROPE_HELP)
+    bm.add_argument("--rope", type=float, default=2.5,
+                    help="half-width of the practical-equivalence region, in percent")
     bm.add_argument("--no-compare", action="store_true")
     bm.add_argument("--out", required=True, help="results CSV path")
     bm.add_argument("--ranks", help="optional rank-table CSV path")
-    registry["benchmark"] = bm
 
     rk = add_parser("rank", help="rank table from a results CSV")
     rk.add_argument("--results", required=True)
     rk.add_argument("--out", help="rank-table CSV path; stdout when omitted")
-    registry["rank"] = rk
 
     cp = add_parser("compare", help="Bayes sign test of methods against a baseline")
     cp.add_argument("--results", required=True)
     cp.add_argument("--baseline", default="Rep-Holdout")
-    cp.add_argument("--rope", type=float, default=2.5, help=_ROPE_HELP)
+    cp.add_argument("--rope", type=float, default=2.5,
+                    help="half-width of the practical-equivalence region: in percent of "
+                         "the true loss with --normalization loss, in loss units with none")
     cp.add_argument("--prior-strength", type=float, default=1.0)
     cp.add_argument("--normalization", choices=("loss", "none"), default="loss")
     cp.add_argument("--out", help="CSV path; stdout when omitted")
-    registry["compare"] = cp
 
     st = add_parser("stationarity", help="differencing order and stationarity verdicts")
     st.add_argument("--csv", action="append", default=None, required=True)
-    st.add_argument("--column", type=_column, default=0)
+    st.add_argument("--column", type=_column, default=ExperimentConfig.csv_column)
     st.add_argument("--alpha", type=float, default=0.05)
     st.add_argument("--max-d", type=int, choices=(0, 1, 2), default=2)
     st.add_argument("--correction", choices=("bonferroni", "fdr"), default="bonferroni")
-    registry["stationarity"] = st
 
     em = add_parser("embed", help="choose an embedding dimension and export rows")
     em.add_argument("--csv", required=True)
-    em.add_argument("--column", type=_column, default=0)
-    em.add_argument("--p", type=_dimension, default="auto")
-    em.add_argument("--d-max", type=int, default=30)
-    em.add_argument("--fnn-tolerance", type=float, default=0.01)
+    _add_embedding_flags(em)
     em.add_argument("--out", help="write target_time,x1..xp,y rows here")
-    registry["embed"] = em
 
-    return parser, registry
+    return parser
 
 
-def _apply_config(argv, registry) -> list[str]:
+def _apply_config(argv, parser) -> list[str]:
     """Splice the ``--config`` file's entries into ``argv`` as flags placed
     right after the subcommand, so argparse checks them like typed flags."""
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
@@ -208,7 +207,8 @@ def _apply_config(argv, registry) -> list[str]:
     if not known.config:
         return argv
     command = next((a for a in argv if not a.startswith("-")), None)
-    sub = registry.get(command)
+    [subcommands] = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subcommands.choices.get(command)
     if sub is None:
         raise ValueError(f"--config requires a recognised subcommand, got {command!r}")
     start = argv.index(command) + 1
@@ -267,10 +267,10 @@ def _write(text: str, path) -> None:
 
 def _finish_experiment(outcome, args) -> int:
     results_to_csv(outcome.results, args.out)
+    text = rank_table_csv(outcome.rank_table)
+    if args.ranks:
+        _write(text, args.ranks)  # the header alone when no problem is complete
     if outcome.rank_table is not None:
-        text = rank_table_csv(outcome.rank_table)
-        if args.ranks:
-            _write(text, args.ranks)
         sys.stdout.write(text)
     if outcome.failures:
         logger.warning("%d (problem, method) pairs failed", len(outcome.failures))
@@ -340,10 +340,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_rank(args) -> int:
     results = read_results_csv(args.results)
     methods = list(dict.fromkeys(r.method for r in results))
-    seen: dict[str, set[str]] = {}
-    for r in results:
-        seen.setdefault(r.problem_id, set()).add(r.method)
-    _warn_left_out(p for p, ran in seen.items() if len(ran) < len(methods))
+    _warn_left_out(p for p, ran in _by_problem(results).items() if len(ran) < len(methods))
     table = results_rank_table(results, methods)
     if table is None:
         raise ValueError("no problem has results for every method")
@@ -414,16 +411,26 @@ _COMMANDS = {
 }
 
 
+def _check_output_dirs(args) -> None:
+    """Refuse an output file whose directory does not exist, before any work."""
+    for flag in ("out", "ranks", "long_csv"):
+        path = getattr(args, flag, None)
+        if path and not Path(path).parent.is_dir():
+            raise ValueError(f"--{flag.replace('_', '-')} {path}: "
+                             f"directory {Path(path).parent} does not exist")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
+    parser = build_parser()
     try:
-        args = parser.parse_args(_apply_config(argv, registry))
+        args = parser.parse_args(_apply_config(argv, parser))
         logging.basicConfig(
             stream=sys.stderr,
             level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
         )
+        _check_output_dirs(args)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         if exc.code:  # argparse usage error; 2 is kept for partial failure

@@ -22,9 +22,6 @@ from .splitters import ResamplingPlan, build_plan
 
 __all__ = [
     "rmse",
-    "apae",
-    "pae",
-    "pct_diff",
     "EstimationResult",
     "LossEstimate",
     "estimate_loss",
@@ -50,49 +47,30 @@ def rmse(predictions, actuals) -> float:
     return float(np.sqrt(np.mean((pred - act) ** 2)))
 
 
-def pae(estimate, true_loss):
-    """Signed estimation error: negative values are under-estimations."""
-    return np.asarray(estimate, dtype=float) - np.asarray(true_loss, dtype=float)
-
-
-def apae(estimate, true_loss):
-    """Absolute estimation error |estimate - true_loss|."""
-    return np.abs(pae(estimate, true_loss))
-
-
-def pct_diff(estimate, true_loss):
-    """Estimation error as a percentage of the true loss (requires > 0)."""
-    L = np.asarray(true_loss, dtype=float)
-    if np.any(L <= 0.0):
-        raise ValueError("percentual difference needs a positive true loss")
-    return 100.0 * pae(estimate, true_loss) / L
-
-
 @dataclass(frozen=True)
 class EstimationResult:
+    """One method's loss estimate on one problem, beside the problem's true
+    loss; the estimation errors are read from those two numbers."""
+
     problem_id: str
     method: str
     estimate: float
     true_loss: float
-    apae: float
-    pae: float
-    pct_diff: float
 
-    @classmethod
-    def from_losses(
-        cls, problem_id: str, method: str, estimate: float, true_loss: float
-    ) -> "EstimationResult":
-        signed = float(pae(estimate, true_loss))
-        pct = float(pct_diff(estimate, true_loss)) if true_loss > 0 else float("nan")
-        return cls(
-            problem_id=problem_id,
-            method=method,
-            estimate=float(estimate),
-            true_loss=float(true_loss),
-            apae=abs(signed),
-            pae=signed,
-            pct_diff=pct,
-        )
+    @property
+    def pae(self) -> float:
+        """Signed estimation error: negative values are under-estimations."""
+        return self.estimate - self.true_loss
+
+    @property
+    def apae(self) -> float:
+        """Absolute estimation error |estimate - true_loss|."""
+        return abs(self.pae)
+
+    @property
+    def pct_diff(self) -> float:
+        """Estimation error in percent of the true loss; NaN unless it is > 0."""
+        return 100.0 * self.pae / self.true_loss if self.true_loss > 0 else math.nan
 
 
 @dataclass(frozen=True)

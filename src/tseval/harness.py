@@ -185,25 +185,28 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
                 logger.warning("%s on %s failed: %s", method, problem_id, exc)
                 failures.append((problem_id, method, str(exc)))
                 continue
-            results.append(
-                EstimationResult.from_losses(problem_id, method, outcome.estimate, L)
-            )
+            results.append(EstimationResult(problem_id, method, outcome.estimate, L))
         logger.info("finished problem %s (p=%d)", problem_id, p)
         del dataset  # and its k-NN neighbour window, before the next problem's FNN
     table = results_rank_table(results, config.methods)
     return ExperimentOutcome(tuple(results), table, tuple(failures))
 
 
+def _by_problem(results) -> dict[str, dict[str, EstimationResult]]:
+    """Each problem's results keyed by method, in first-seen order."""
+    index: dict[str, dict[str, EstimationResult]] = {}
+    for r in results:
+        index.setdefault(r.problem_id, {})[r.method] = r
+    return index
+
+
 def results_rank_table(results, methods) -> RankTable | None:
     """APAE rank table over the problems where every method has a row."""
     methods = tuple(methods)
-    by_problem: dict[str, dict[str, float]] = {}
-    for r in results:
-        by_problem.setdefault(r.problem_id, {})[r.method] = r.apae
     rows = [
-        [by_problem[pid][m] for m in methods]
-        for pid in by_problem
-        if all(m in by_problem[pid] for m in methods)
+        [ran[m].apae for m in methods]
+        for ran in _by_problem(results).values()
+        if all(m in ran for m in methods)
     ]
     if not rows:
         return None
@@ -228,20 +231,16 @@ def compare_to_baseline(
     """
     if normalization not in ("loss", "none"):
         raise ValueError("normalization must be 'loss' or 'none'")
-    by_problem: dict[str, dict[str, EstimationResult]] = {}
-    methods: list[str] = []
-    for r in results:
-        by_problem.setdefault(r.problem_id, {})[r.method] = r
-        if r.method not in methods:
-            methods.append(r.method)
+    methods = list(dict.fromkeys(r.method for r in results))
     if baseline not in methods:
         raise ValueError(f"baseline {baseline!r} absent from results")
+    index = _by_problem(results)
     comparisons = []
     for method in methods:
         if method == baseline:
             continue
         diffs = []
-        for rows in by_problem.values():
+        for rows in index.values():
             if method not in rows or baseline not in rows:
                 continue
             delta = rows[method].apae - rows[baseline].apae
@@ -273,7 +272,10 @@ def results_to_csv(results, path) -> None:
 
 
 def read_results_csv(path) -> list[EstimationResult]:
-    """Rows of a results CSV; a (problem_id, method) pair may appear once."""
+    """Rows of a results CSV; a (problem_id, method) pair may appear once.
+
+    The header must be ``RESULTS_HEADER``; only ``estimate`` and ``true_loss``
+    are read, since the error columns follow from them."""
     path = Path(path)
     results = []
     first_line: dict[tuple[str, str], int] = {}
@@ -290,15 +292,17 @@ def read_results_csv(path) -> list[EstimationResult]:
                     f"method {key[1]!r} (first on line {first_line[key]})"
                 )
             first_line[key] = reader.line_num
-            results.append(EstimationResult(*key, *(float(row[f]) for f in expected[2:])))
+            results.append(EstimationResult(*key, float(row["estimate"]), float(row["true_loss"])))
     return results
 
 
-def rank_table_csv(table: RankTable) -> str:
-    """The rank table as CSV text, best mean rank first."""
+def rank_table_csv(table: RankTable | None) -> str:
+    """The rank table as CSV text, best mean rank first; the header alone
+    when there is no table."""
     return _csv_text(
         ["method", "mean_rank", "sd_rank"],
-        ([method, repr(mean), repr(sd)] for method, mean, sd in table.sorted_methods()),
+        ([method, repr(mean), repr(sd)] for method, mean, sd in
+         (table.sorted_methods() if table is not None else ())),
     )
 
 

@@ -263,7 +263,7 @@ def test_compare_without_normalization(tmp_path):
     # per problem, "m" minus "base" in APAE is 0.3, 6.0 and 1.0: raw, two lie in
     # [-2.5, 2.5] and one right of it, so with no prior mass P_right = (1/2)^2
     results, out = tmp_path / "results.csv", tmp_path / "cmp.csv"
-    rows = [EstimationResult.from_losses(pid, method, estimate, truth)
+    rows = [EstimationResult(pid, method, estimate, truth)
             for pid, truth, base, m in (("p1", 10.0, 10.1, 10.4), ("p2", 10.0, 10.0, 16.0),
                                         ("p3", 0.0, 1.0, 2.0))
             for method, estimate in (("base", base), ("m", m))]
@@ -296,7 +296,7 @@ def test_compare_rejects_infinite_prior_strength_before_reading(
     tmp_path, monkeypatch, caplog, capsys
 ):
     results = tmp_path / "results.csv"
-    rows = [EstimationResult.from_losses(problem, method, 1.0 + 0.1 * i, 1.0)
+    rows = [EstimationResult(problem, method, 1.0 + 0.1 * i, 1.0)
             for problem in ("a", "b") for i, method in enumerate(("Holdout", "Rep-Holdout"))]
     results_to_csv(rows, results)
     reads = []
@@ -360,7 +360,7 @@ def test_embed_rejects_a_bad_dimension_before_printing(tmp_path, capsys, p, to_f
 
 
 def test_benchmark_runs_the_library_study_by_default():
-    parser, _ = build_parser()
+    parser = build_parser()
     args = parser.parse_args(["benchmark", "--dgp", "s1", "--out", "r.csv"])
     assert args.trials == ExperimentConfig(dgp="s1").trials == 200
 
@@ -368,7 +368,7 @@ def test_benchmark_runs_the_library_study_by_default():
 def test_config_and_results_files_may_start_with_a_byte_order_mark(tmp_path, capsys):
     results = tmp_path / "results.csv"
     results_to_csv(
-        [EstimationResult.from_losses(problem, method, 1.0 + i, 1.0) for problem in ("a", "b")
+        [EstimationResult(problem, method, 1.0 + i, 1.0) for problem in ("a", "b")
          for i, method in enumerate(("CV", "Holdout"))],
         results,
     )
@@ -448,7 +448,7 @@ def test_repeated_method_names_are_rejected(tmp_path, caplog):
 
 
 def test_rank_and_compare_reject_repeated_rows(tmp_path, caplog):
-    rows = [EstimationResult.from_losses("a", m, 1.0 + 0.1 * i, 1.0)
+    rows = [EstimationResult("a", m, 1.0 + 0.1 * i, 1.0)
             for i, m in enumerate(("Holdout", "Rep-Holdout", "Holdout"))]
     path = tmp_path / "results.csv"
     results_to_csv(rows, path)
@@ -481,9 +481,9 @@ def test_problems_left_out_of_the_rank_table_are_named(tmp_path, capsys, caplog)
 
 def test_rank_names_the_problems_it_leaves_out(tmp_path, capsys, caplog):
     methods = ("Holdout", "CV", "CV-Mod")
-    complete = [EstimationResult.from_losses("a", m, 1.0 + 0.1 * i, 1.0)
+    complete = [EstimationResult("a", m, 1.0 + 0.1 * i, 1.0)
                 for i, m in enumerate(methods)]
-    partial = [EstimationResult.from_losses("b", m, 2.0 - 0.1 * i, 1.0)
+    partial = [EstimationResult("b", m, 2.0 - 0.1 * i, 1.0)
                for i, m in enumerate(methods[:2])]
     only_a, both = tmp_path / "a.csv", tmp_path / "both.csv"
     results_to_csv(complete, only_a)
@@ -565,7 +565,54 @@ def test_config_verbose_key_sets_the_flag(tmp_path):
 
     config = tmp_path / "run.conf"
     config.write_text("dgp=s2\nverbose=yes\n")
-    parser, registry = build_parser()
-    args = parser.parse_args(_apply_config(["simulate", "--config", str(config)], registry))
+    parser = build_parser()
+    args = parser.parse_args(_apply_config(["simulate", "--config", str(config)], parser))
     assert args.verbose is True
     assert args.dgp == "s2"
+
+
+def test_ranks_file_always_holds_this_runs_table(tmp_path, capsys):
+    ranks = tmp_path / "k.csv"
+    flags = ["benchmark", "--dgp", "s1", "--trials", "2", "--ranks", str(ranks)]
+    assert run_cli(*flags, "--out", str(tmp_path / "a.csv")) == 0
+    assert len(ranks.read_text().splitlines()) == 1 + 11
+    capsys.readouterr()
+    # at length 20 no problem has all 11 methods: no table, so the header alone
+    assert run_cli(*flags, "--length", "20", "--out", str(tmp_path / "b.csv")) == 2
+    assert ranks.read_text() == "method,mean_rank,sd_rank\n"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["benchmark", "--dgp", "s1", "--trials", "2", "--out", "{tmp}/r.csv",
+     "--ranks", "{tmp}/nodir/k.csv"],
+    ["evaluate", "--csv", "{tmp}/a.csv", "--p", "3", "--out", "{tmp}/nodir/r.csv"],
+    ["embed", "--csv", "{tmp}/a.csv", "--p", "3", "--out", "{tmp}/nodir/rows.csv"],
+    ["simulate", "--dgp", "s1", "--out-dir", "{tmp}/sims", "--long-csv", "{tmp}/nodir/l.csv"],
+])
+def test_output_files_in_a_missing_directory_are_refused_before_any_work(
+    tmp_path, monkeypatch, capsys, caplog, command
+):
+    write_csv(TimeSeries(np.arange(40.0) % 7, name="a"), tmp_path / "a.csv")
+    studies = []
+    monkeypatch.setattr(tseval.cli, "run_experiment", studies.append)
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(*(arg.format(tmp=tmp_path) for arg in command)) == 1
+    assert not studies
+    assert capsys.readouterr().out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+    assert "nodir does not exist" in caplog.text
+
+
+def test_study_flags_default_to_the_library_defaults(tmp_path, monkeypatch):
+    studies, draws = [], []
+    monkeypatch.setattr(tseval.cli, "run_experiment", studies.append)
+    monkeypatch.setattr(tseval.cli, "monte_carlo", lambda *a: draws.append(a) or [])
+    out = str(tmp_path / "r.csv")
+    for argv in (["evaluate", "--csv", "a.csv", "--out", out],
+                 ["benchmark", "--dgp", "s2", "--out", out],
+                 ["simulate", "--dgp", "s2", "--out-dir", str(tmp_path / "sims")]):
+        run_cli(*argv)  # the captured study is no outcome, so the first two exit 1
+    assert studies == [ExperimentConfig(csv_paths=("a.csv",)),
+                       ExperimentConfig(dgp="s2", embedding=5)]
+    assert draws == [(tseval.DGPSpec(kind="s2"), 1, ExperimentConfig.base_seed)]

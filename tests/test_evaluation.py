@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -14,7 +15,6 @@ from tseval import (
     ResamplingPlan,
     Runs,
     TimeSeries,
-    apae,
     average_ranks,
     bayes_sign_test,
     build_plan,
@@ -23,8 +23,6 @@ from tseval import (
     evaluation,
     fit,
     kkt_violation,
-    pae,
-    pct_diff,
     predict,
     rmse,
     run_plan,
@@ -45,19 +43,21 @@ def test_rmse_errors():
         rmse([], [])
 
 
+def _errors(estimate, truth):
+    r = EstimationResult("p1", "CV", estimate, truth)
+    return r.apae, r.pae, r.pct_diff
+
+
 def test_error_metric_examples():
-    assert apae(0.8, 1.0) == pytest.approx(0.2)
-    assert pae(0.8, 1.0) == pytest.approx(-0.2)
-    assert pct_diff(0.8, 1.0) == pytest.approx(-20.0)
-    assert pae(1.3, 1.0) == pytest.approx(0.3)
-    assert float(apae(1.0, 1.0)) == float(pae(1.0, 1.0)) == float(pct_diff(1.0, 1.0)) == 0.0
+    assert _errors(0.8, 1.0) == pytest.approx((0.2, -0.2, -20.0))
+    assert _errors(1.3, 1.0)[1] == pytest.approx(0.3)
+    assert _errors(1.0, 1.0) == (0.0, 0.0, 0.0)
 
 
-def test_pct_diff_requires_positive_truth():
-    with pytest.raises(ValueError):
-        pct_diff(1.0, 0.0)
-    with pytest.raises(ValueError):
-        pct_diff(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
+def test_pct_diff_is_nan_without_a_positive_truth():
+    for truth in (0.0, -1.0, math.nan):
+        assert math.isnan(_errors(1.0, truth)[2])
+    assert _errors(1.0, 0.0)[:2] == (1.0, 1.0)  # the absolute errors stay defined
 
 
 @settings(max_examples=200)
@@ -66,14 +66,20 @@ def test_pct_diff_requires_positive_truth():
     st.floats(min_value=1e-9, max_value=1e6),
 )
 def test_apae_is_absolute_pae(estimate, truth):
-    assert apae(estimate, truth) == abs(pae(estimate, truth))
-    assert (pae(estimate, truth) < 0) == (estimate < truth)
+    absolute, signed, pct = _errors(estimate, truth)
+    assert absolute == abs(signed)
+    assert (signed < 0) == (estimate < truth)
+    # the results CSV holds these bytes: the same float64 steps as array arithmetic
+    e, L = np.float64(estimate), np.float64(truth)
+    assert (signed, pct) == (float(e - L), float(100.0 * (e - L) / L))
 
 
 def test_estimation_result_fields():
-    r = EstimationResult.from_losses("p1", "CV", 0.8, 1.0)
+    r = EstimationResult("p1", "CV", 0.8, 1.0)
+    assert [f.name for f in dataclasses.fields(r)] == [
+        "problem_id", "method", "estimate", "true_loss"]
     assert (r.apae, r.pae, r.pct_diff) == pytest.approx((0.2, -0.2, -20.0))
-    assert r.apae == abs(r.pae)
+    assert r == EstimationResult("p1", "CV", 0.8, 1.0)
 
 
 def test_average_ranks_single_problem():

@@ -154,6 +154,19 @@ def test_results_csv_round_trip(tmp_path):
     assert tuple(again) == outcome.results
 
 
+def test_read_results_takes_the_errors_from_estimate_and_true_loss(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text(RESULTS_HEADER + "\np1,CV,0.8,1.0,9,9,9\np2,CV,2.0,0.0,,,\n")
+    first, second = read_results_csv(path)
+    assert first == EstimationResult("p1", "CV", 0.8, 1.0)
+    assert (first.apae, first.pae, first.pct_diff) == pytest.approx((0.2, -0.2, -20.0))
+    assert (second.apae, second.pae) == (2.0, 2.0) and math.isnan(second.pct_diff)
+    results_to_csv([first, second], path)
+    assert path.read_text().splitlines()[1:] == [
+        "p1,CV,0.8,1.0,0.19999999999999996,-0.19999999999999996,-19.999999999999996",
+        "p2,CV,2.0,0.0,2.0,2.0,nan"]
+
+
 def test_read_results_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("method,estimate\nCV,1.0\n")
@@ -187,10 +200,10 @@ def test_single_trial_rank_table_is_single_trial_ranks():
 
 def read_write_rows():
     return [
-        EstimationResult.from_losses("p1", "A", 1.0, 1.1),
-        EstimationResult.from_losses("p1", "B", 2.0, 1.1),
-        EstimationResult.from_losses("p2", "A", 1.0, 1.2),
-        EstimationResult.from_losses("p2", "B", 2.0, 1.2),
+        EstimationResult("p1", "A", 1.0, 1.1),
+        EstimationResult("p1", "B", 2.0, 1.1),
+        EstimationResult("p2", "A", 1.0, 1.2),
+        EstimationResult("p2", "B", 2.0, 1.2),
     ]
 
 
@@ -200,7 +213,7 @@ def test_rank_table_csv():
 
 
 def test_rank_table_skips_incomplete_problems():
-    rows = read_write_rows() + [EstimationResult.from_losses("p3", "A", 1.0, 1.0)]
+    rows = read_write_rows() + [EstimationResult("p3", "A", 1.0, 1.0)]
     table = results_rank_table(rows, ["A", "B"])
     assert table.n_problems == 2
 
@@ -209,9 +222,9 @@ def test_compare_to_baseline_semantics():
     rows = []
     for pid in range(15):
         truth = 1.0
-        rows.append(EstimationResult.from_losses(f"p{pid}", "base", truth + 0.30, truth))
-        rows.append(EstimationResult.from_losses(f"p{pid}", "better", truth + 0.01, truth))
-        rows.append(EstimationResult.from_losses(f"p{pid}", "same", truth + 0.31, truth))
+        rows.append(EstimationResult(f"p{pid}", "base", truth + 0.30, truth))
+        rows.append(EstimationResult(f"p{pid}", "better", truth + 0.01, truth))
+        rows.append(EstimationResult(f"p{pid}", "same", truth + 0.31, truth))
     comparisons = compare_to_baseline(rows, baseline="base")
     by_method = {c.method: c.outcome for c in comparisons}
     assert by_method["better"].p_left > 0.99  # lower APAE almost surely
@@ -226,8 +239,8 @@ def hand_worked_rows():
     rows = []
     for pid, truth, base, m in (("p1", 10.0, 10.1, 10.4), ("p2", 10.0, 10.0, 16.0),
                                 ("p3", 0.0, 1.0, 2.0)):
-        rows.append(EstimationResult.from_losses(pid, "base", base, truth))
-        rows.append(EstimationResult.from_losses(pid, "m", m, truth))
+        rows.append(EstimationResult(pid, "base", base, truth))
+        rows.append(EstimationResult(pid, "m", m, truth))
     return rows
 
 

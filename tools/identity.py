@@ -16,7 +16,7 @@ Run it on two checkouts (say a parent commit and a change, each with its own
 ``--src``) and compare. A change that moves results on purpose lists the
 entries that moved; every other entry must match. A run takes about half a
 minute on two cores, too long for the tests, which only check that every
-command parses.
+command parses once its ``--config`` file is spliced in.
 """
 
 from __future__ import annotations
@@ -54,6 +54,24 @@ def _panel_paths(workload: str, seed: int) -> list[str]:
     return [f"inputs/{workload}-{seed}/{kind}.csv" for kind, _ in workloads.PANELS[workload]]
 
 
+# --config files, by path under the run's directory: every flag but the
+# subcommand comes from the file (a comma list stands for a repeated --csv)
+CONFIGS = {
+    "inputs/benchmark.conf": (
+        "# an S3 study with k-NN on five methods\n"
+        "dgp=s3\ntrials=6\nlength=150\nseed=4\n"
+        "methods=CV,CV-Bl,Holdout,Rep-Holdout,Preq-Grow\nK=5\nnreps=4\n"
+        "learner=knn\nknn_k=3\nbaseline=Holdout\nrope=5\nverbose=on\n"
+        "out=out/config-benchmark/results.csv\nranks=out/config-benchmark/ranks.csv\n"
+    ),
+    "inputs/evaluate.conf": (
+        f"csv={', '.join(_panel_paths('nonstationary-lasso', 2))}\n"
+        "p=auto\nd-max=8\nfnn_tolerance=0.02\nfraction=0.6\nlam=0.05\nseed=3\n"
+        "out=out/config-evaluate/results.csv\nranks=out/config-evaluate/ranks.csv\n"
+    ),
+}
+
+
 def _csvs(paths) -> list[str]:
     return [arg for path in paths for arg in ("--csv", path)]
 
@@ -73,6 +91,10 @@ def commands() -> list[tuple[str, list[str]]]:
                 (f"compare-raw-{dgp}-{learner}", ["compare", "--results", results, "--rope", "1",
                                                   "--normalization", "none"]),
                 (f"rank-{dgp}-{learner}", ["rank", "--results", results]),
+                (f"rank-out-{dgp}-{learner}", ["rank", "--results", results, "--out",
+                                               f"out/rank-out-{dgp}-{learner}/ranks.csv"]),
+                (f"compare-out-{dgp}-{learner}", ["compare", "--results", results, "--out",
+                                                  f"out/compare-out-{dgp}-{learner}/bayes.csv"]),
             ]
     for workload in PANELS:
         for seed in PANEL_SEEDS:
@@ -107,6 +129,15 @@ def commands() -> list[tuple[str, list[str]]]:
     # n = 9 rows: the baseline and every K = 10 method fail on each problem
     runs.append(("benchmark-short", ["benchmark", "--dgp", "s1", "--trials", "2", "--length",
                                      "20", "--out", "out/benchmark-short/results.csv"]))
+    # no problem keeps all 11 methods: --ranks receives the header alone
+    runs.append(("benchmark-short-ranks",
+                 ["benchmark", "--dgp", "s1", "--trials", "2", "--length", "20",
+                  "--out", "out/benchmark-short-ranks/results.csv",
+                  "--ranks", "out/benchmark-short-ranks/ranks.csv"]))
+    # the seed flag overrides the file's
+    runs += [("config-benchmark", ["benchmark", "--config", "inputs/benchmark.conf"]),
+             ("config-evaluate", ["evaluate", "--config", "inputs/evaluate.conf",
+                                  "--seed", "5"])]
     series = _panel_paths("nonstationary-lasso", 1)[0]
     runs += [
         ("bad-rope", ["benchmark", "--dgp", "s1", "--rope", "0", "--out", "out/bad-rope/r.csv"]),
@@ -116,11 +147,23 @@ def commands() -> list[tuple[str, list[str]]]:
         ("bad-p", ["embed", "--csv", series, "--p", "0"]),
         ("bad-csv", ["evaluate", "--csv", "inputs/missing.csv", "--p", "3",
                      "--out", "out/bad-csv/r.csv"]),
+        # an output file in a missing directory: refused before any work
+        ("refuse-ranks-dir", ["benchmark", "--dgp", "s1", "--trials", "2", "--out",
+                              "out/refuse-ranks-dir/r.csv", "--ranks", "nodir/k.csv"]),
+        ("refuse-embed-out-dir", ["embed", "--csv", series, "--p", "3",
+                                  "--out", "nodir/rows.csv"]),
     ]
     return runs
 
 
+def write_configs(root: Path) -> None:
+    for path, text in CONFIGS.items():
+        (root / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / path).write_text(text, encoding="utf-8")
+
+
 def write_inputs(root: Path) -> None:
+    write_configs(root)
     for workload in PANELS:
         for seed in PANEL_SEEDS:
             directory = root / "inputs" / f"{workload}-{seed}"
