@@ -13,7 +13,7 @@ from .evaluation import (
     EstimationResult,
     average_ranks,
     bayes_sign_test,
-    estimate_loss,
+    estimate_losses,
     rmse,
     run_plan,
     true_loss,

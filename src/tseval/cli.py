@@ -38,6 +38,7 @@ from pathlib import Path
 
 from .embedding import embed as embed_rows
 from .embedding import estimate_embedding_dimension
+from .evaluation import BASELINE, PRIOR_STRENGTH, ROPE
 from .harness import (
     ExperimentConfig,
     _by_problem,
@@ -162,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     bm.add_argument("--K", type=int, default=ExperimentConfig.K)
     bm.add_argument("--nreps", type=int, default=ExperimentConfig.nreps)
     _add_learner_flags(bm)
-    bm.add_argument("--baseline", choices=METHODS, default="Rep-Holdout")
-    bm.add_argument("--rope", type=float, default=2.5,
+    bm.add_argument("--baseline", choices=METHODS, default=BASELINE)
+    bm.add_argument("--rope", type=float, default=ROPE,
                     help="half-width of the practical-equivalence region, in percent")
     bm.add_argument("--no-compare", action="store_true")
     bm.add_argument("--out", required=True, help="results CSV path")
@@ -175,11 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = add_parser("compare", help="Bayes sign test of methods against a baseline")
     cp.add_argument("--results", required=True)
-    cp.add_argument("--baseline", default="Rep-Holdout")
-    cp.add_argument("--rope", type=float, default=2.5,
+    cp.add_argument("--baseline", default=BASELINE)
+    cp.add_argument("--rope", type=float, default=ROPE,
                     help="half-width of the practical-equivalence region: in percent of "
                          "the true loss with --normalization loss, in loss units with none")
-    cp.add_argument("--prior-strength", type=float, default=1.0)
+    cp.add_argument("--prior-strength", type=float, default=PRIOR_STRENGTH)
     cp.add_argument("--normalization", choices=("loss", "none"), default="loss")
     cp.add_argument("--out", help="CSV path; stdout when omitted")
 
@@ -304,7 +305,7 @@ def _cmd_evaluate(args) -> int:
     return _finish_experiment(run_experiment(config), args)
 
 
-def _check_bayes_flags(rope: float, prior_strength: float = 1.0) -> None:
+def _check_bayes_flags(rope: float, prior_strength: float = PRIOR_STRENGTH) -> None:
     """Reject Bayes sign-test settings before any work is done."""
     if not rope > 0:
         raise ValueError(f"--rope must be positive, got {rope}")

@@ -1,10 +1,11 @@
 """Loss estimation over resampling plans and estimator-accuracy metrics.
 
-``estimate_loss`` runs one estimation procedure over the embedded rows of
-an estimation series and aggregates per-iteration RMSEs into the loss
-estimate. ``true_loss`` computes the ground truth the estimators are
-judged against: the model retrained on the whole estimation part and
-scored on the held-out validation part.
+``estimate_losses`` builds every estimation procedure's plan over the
+embedded rows of one estimation series and runs them together with
+``run_plan``, which aggregates each plan's per-iteration RMSEs into its loss
+estimate. ``true_loss`` computes the ground truth the estimators are judged
+against: the model retrained on the whole estimation part and scored on the
+held-out validation part.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ __all__ = [
     "rmse",
     "EstimationResult",
     "LossEstimate",
-    "estimate_loss",
+    "estimate_losses",
     "run_plan",
     "true_loss",
     "RankTable",
     "average_ranks",
+    "BASELINE", "ROPE", "PRIOR_STRENGTH",
     "BayesSignResult",
     "bayes_sign_test",
 ]
@@ -84,16 +86,18 @@ class LossEstimate:
 _POOLED = ("Preq-Grow", "Preq-Slide")
 
 
-def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimate:
-    """Fit/score the learner over every iteration of an existing plan, reading
-    its train and test row runs directly.
+def run_plan(plans, dataset, learner: LearnerSpec) -> list[LossEstimate | Exception]:
+    """Fit/score the learner over every iteration of each of a problem's plans,
+    reading their train and test row runs directly. Returns each plan's
+    estimate, or the exception that stopped that plan alone (without the
+    traceback, whose frames would hold the plans' arrays).
 
-    The lasso fits every training set of the plan at once with
-    :func:`~tseval.learners.fit_lasso_folds` (prefix-sum moments, and every
-    fold's lasso path followed in lockstep) and predicts every test row in one
-    product.
+    The lasso fits the training sets of all the plans together with
+    :func:`~tseval.learners.fit_lasso_folds` (prefix-sum moments, and the
+    folds' lasso paths followed in lockstep, up to 128 folds of any plans to
+    a call) and predicts each plan's test rows in one product.
 
-    k-NN predicts the plan's test rows in row chunks from the dataset's
+    k-NN predicts each plan's test rows in row chunks from the dataset's
     ``knn_window``, each row's nearest rows in neighbour order, computed once
     per dataset: a row's neighbours are the first k of its window that lie in
     its fold's training runs.
@@ -105,18 +109,36 @@ def run_plan(plan: ResamplingPlan, dataset, learner: LearnerSpec) -> LossEstimat
     such rows is fitted once with ``fit`` on its training runs' rows, and
     ``predict`` runs on those rows only. So the k-NN predictions are those of
     ``fit`` and ``predict`` fold by fold, byte for byte, and a training set of
-    fewer than k rows raises ``fit``'s error for the first such fold.
+    fewer than k rows fails its plan with ``fit``'s error for the first such
+    fold.
 
     The estimate averages per-iteration RMSEs (one error estimate per fold),
     except for Preq-Grow and Preq-Slide, whose squared errors are pooled
     across iterations before taking the root.
     """
+    folds = [None] * len(plans)
+    if learner.kind == "lasso":
+        try:
+            folds = fit_lasso_folds(learner, dataset.predictors, dataset.targets,
+                                    [plan.train for plan in plans])
+        except Exception as exc:  # noqa: BLE001 - the plans share the fit and fail together
+            return [exc.with_traceback(None)] * len(plans)
+    outcomes: list[LossEstimate | Exception] = []
+    for plan, fits in zip(plans, folds):
+        try:
+            outcomes.append(_plan_loss(plan, dataset, learner, fits))
+        except Exception as exc:  # noqa: BLE001 - isolate per plan
+            outcomes.append(exc.with_traceback(None))
+    return outcomes
+
+
+def _plan_loss(plan: ResamplingPlan, dataset, learner: LearnerSpec, folds) -> LossEstimate:
+    """One plan's estimate from its lasso ``folds`` or its k-NN predictions."""
     X, y, train = dataset.predictors, dataset.targets, plan.train
     tests = plan.test.rows()
     bounds = np.concatenate(([0], np.cumsum(plan.test.sizes())))
     fold = np.repeat(np.arange(len(plan.test)), np.diff(bounds))
     if learner.kind == "lasso":
-        folds = fit_lasso_folds(learner, X, y, train)
         predictions = np.einsum(
             "ij,ij->i", X[tests], folds.coefficients[fold]
         ) + folds.intercepts[fold]
@@ -172,20 +194,22 @@ def _knn_predictions(k: int, dataset, train, tests, fold) -> tuple[np.ndarray, n
     return predictions, short
 
 
-def estimate_loss(
-    dataset: EmbeddedDataset,
-    method: str,
-    learner: LearnerSpec,
-    *,
-    K: int = 10,
-    nreps: int = 10,
-    seed: int | None = None,
-) -> LossEstimate:
-    """Build the named plan over the rows of an embedded estimation series
-    and run it. The caller embeds the series once for all its methods, so
-    k-NN computes the rows' neighbour window once for all of them too."""
-    plan = build_plan(method, dataset.n, K=K, p=dataset.p, nreps=nreps, seed=seed)
-    return run_plan(plan, dataset, learner)
+def estimate_losses(dataset: EmbeddedDataset, seeds: dict, learner: LearnerSpec, *,
+                    K: int = 10, nreps: int = 10) -> dict[str, LossEstimate | Exception]:
+    """Build the plan of each method in ``seeds`` (method name -> plan seed or
+    None) over the rows of an embedded estimation series, and run them all in
+    one :func:`run_plan`. Returns each method's estimate, or the exception
+    that stopped it alone, in the order of ``seeds``. The caller embeds the
+    series once, so k-NN computes the rows' neighbour window once too."""
+    outcomes: dict[str, LossEstimate | Exception] = {}
+    plans = []
+    for method, seed in seeds.items():
+        try:
+            plans.append(build_plan(method, dataset.n, K=K, p=dataset.p, nreps=nreps, seed=seed))
+        except Exception as exc:  # noqa: BLE001 - isolate per method
+            outcomes[method] = exc.with_traceback(None)
+    outcomes.update(zip((plan.method for plan in plans), run_plan(plans, dataset, learner)))
+    return {method: outcomes[method] for method in seeds}
 
 
 def true_loss(
@@ -253,6 +277,11 @@ def average_ranks(apae_matrix, methods) -> RankTable:
     return RankTable(methods, ranks.mean(axis=0), sd, A.shape[0])
 
 
+# The sign-test defaults of the library and the command line: the baseline, the
+# ROPE half-width (percent of the true loss) and the prior's strength on the ROPE.
+BASELINE, ROPE, PRIOR_STRENGTH = "Rep-Holdout", 2.5, 1.0
+
+
 @dataclass(frozen=True)
 class BayesSignResult:
     p_left: float
@@ -276,7 +305,7 @@ def _p_largest(a: int, m: float, b: int) -> float:
 
 
 def bayes_sign_test(
-    differences, rope: float = 2.5, prior_strength: float = 1.0
+    differences, rope: float = ROPE, prior_strength: float = PRIOR_STRENGTH
 ) -> BayesSignResult:
     """Posterior probabilities that differences concentrate left of, inside,
     or right of the practical-equivalence region [-rope, rope], so ``rope`` is

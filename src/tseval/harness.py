@@ -16,12 +16,15 @@ import numpy as np
 
 from .embedding import embed, estimate_embedding_dimension
 from .evaluation import (
+    BASELINE,
+    PRIOR_STRENGTH,
+    ROPE,
     BayesSignResult,
     EstimationResult,
     RankTable,
     average_ranks,
     bayes_sign_test,
-    estimate_loss,
+    estimate_losses,
     true_loss,
 )
 from .learners import LearnerSpec
@@ -151,11 +154,11 @@ def _choose_dimension(config: ExperimentConfig, series: TimeSeries) -> int:
 def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
     """Run every configured method on every problem.
 
-    Each problem's estimation part is embedded once, and every method's
-    plan runs over those rows. Problem names must be unique (``ValueError``
-    otherwise). A failure of one (problem, method) pair is logged and
-    recorded without disturbing the other rows; the rank table covers the
-    problems on which every method succeeded.
+    Each problem's estimation part is embedded once, and all its methods'
+    plans run together over those rows. Problem names must be unique
+    (``ValueError`` otherwise). A failure of one (problem, method) pair is
+    logged and recorded without disturbing the other rows; the rank table
+    covers the problems on which every method succeeded.
     """
     results: list[EstimationResult] = []
     failures: list[tuple[str, str, str]] = []
@@ -170,22 +173,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
             logger.warning("problem %s failed: %s", problem_id, exc)
             failures.extend((problem_id, m, str(exc)) for m in config.methods)
             continue
-        for method in config.methods:
-            seed = derive_seed(config.base_seed, problem_id, method)
-            try:
-                outcome = estimate_loss(
-                    dataset,
-                    method,
-                    config.learner,
-                    K=config.K,
-                    nreps=config.nreps,
-                    seed=seed,
-                )
-            except Exception as exc:  # noqa: BLE001 - isolate per method
-                logger.warning("%s on %s failed: %s", method, problem_id, exc)
-                failures.append((problem_id, method, str(exc)))
-                continue
-            results.append(EstimationResult(problem_id, method, outcome.estimate, L))
+        seeds = {m: derive_seed(config.base_seed, problem_id, m) for m in config.methods}
+        outcomes = estimate_losses(dataset, seeds, config.learner, K=config.K, nreps=config.nreps)
+        for method, outcome in outcomes.items():
+            if isinstance(outcome, Exception):
+                logger.warning("%s on %s failed: %s", method, problem_id, outcome)
+                failures.append((problem_id, method, str(outcome)))
+            else:
+                results.append(EstimationResult(problem_id, method, outcome.estimate, L))
         logger.info("finished problem %s (p=%d)", problem_id, p)
         del dataset  # and its k-NN neighbour window, before the next problem's FNN
     table = results_rank_table(results, config.methods)
@@ -215,9 +210,9 @@ def results_rank_table(results, methods) -> RankTable | None:
 
 def compare_to_baseline(
     results,
-    baseline: str = "Rep-Holdout",
-    rope: float = 2.5,
-    prior_strength: float = 1.0,
+    baseline: str = BASELINE,
+    rope: float = ROPE,
+    prior_strength: float = PRIOR_STRENGTH,
     normalization: str = "loss",
 ) -> list[MethodComparison]:
     """Bayes sign test of every method against the baseline.

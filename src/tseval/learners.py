@@ -11,12 +11,13 @@ One engine solves every lasso: it follows the paths of a stack of problems
 in lockstep, one stacked solve per breakpoint, and each problem's arithmetic
 is its own, so a fit does not depend on what else was in the stack. ``fit``
 gives it one problem. :func:`fit_lasso_folds` gives it every training set of
-a resampling plan, given as the plan's train row runs, a chunk of sets at a
-time. Each set's means, standardized Gram matrix and correlations come from
-prefix sums of the rows and their outer products, summed over the set's
-runs. Sets of fewer than two rows, and sets in which a column's variance is
-too small a share of its second moment for prefix sums to resolve, are left
-to :func:`fit`.
+every resampling plan of a problem, each plan's sets given as its train row
+runs, in calls of at most 128 sets that may span plans. Each set's means,
+standardized Gram matrix and correlations come from prefix sums of the rows
+and their outer products, one per plan, summed over the set's runs. Sets of
+fewer than two rows, and sets in which a column's variance is too small a
+share of its second moment for prefix sums to resolve, are left to
+:func:`fit`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .embedding import _row_chunks, nearest_rows
+from .embedding import nearest_rows
 
 __all__ = [
     "LearnerSpec",
@@ -235,28 +236,23 @@ def _lasso_paths(
 
 
 def _lasso_fits(
-    spec: LearnerSpec, G: np.ndarray, c: np.ndarray, live: np.ndarray
+    spec: LearnerSpec, G: np.ndarray, c: np.ndarray, live: np.ndarray, stacklevel: int = 4
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a stack of standardized lasso problems, a chunk of the stack at
-    a time, at ``spec.lam`` or by default 0.01 * max_j |c_j| of each problem.
-    Warns when a solution misses ``spec``'s acceptance test. Returns the
-    coefficients and the penalties."""
-    F, p = c.shape
+    """Solve a stack of standardized lasso problems in one lockstep call, at
+    ``spec.lam`` or by default 0.01 * max_j |c_j| of each problem. Warns, at
+    the caller of ``fit`` or of ``run_plan`` (``stacklevel``), when a solution
+    misses ``spec``'s acceptance test. Returns the coefficients and the
+    penalties."""
     if spec.lam is None:
         lam = 0.01 * np.max(np.abs(c), axis=1, initial=0.0)
     else:
-        lam = np.full(F, spec.lam)
-    beta = np.empty((F, p))
-    accepted = True
-    for part in _row_chunks(F, p * (p + 2)):
-        beta[part], reached = _lasso_paths(G[part], c[part], lam[part], live[part])
-        grad = c[part] - (G[part] @ beta[part, :, None])[:, :, 0]
-        residual = _kkt_residual(grad, beta[part], lam[part], live[part])
-        accepted &= bool(reached.all() and np.all(residual <= 10.0 * spec.tol))
-    if not accepted:
+        lam = np.full(len(c), spec.lam)
+    beta, reached = _lasso_paths(G, c, lam, live)
+    grad = c - (G @ beta[:, :, None])[:, :, 0]
+    if not (reached.all() and np.all(_kkt_residual(grad, beta, lam, live) <= 10.0 * spec.tol)):
         warnings.warn(
             f"lasso path did not meet tol={spec.tol:g} within max_iter={MAX_ITER} steps",
-            stacklevel=4,
+            stacklevel=stacklevel,
         )
     return beta, lam
 
@@ -299,30 +295,56 @@ class LassoFolds:
     fitted: np.ndarray
 
 
-def _set_moments(Z: np.ndarray, trains) -> np.ndarray:
-    """Sums of [1, z][1, z]' over each training set's rows of Z, from one
-    prefix sum: each set adds up the differences over its runs."""
+# Sets per lockstep call: enough to share a call's fixed cost, few enough
+# that its arrays stay small whatever p.
+_STACK = 128
+
+
+def fit_lasso_folds(spec: LearnerSpec, predictors, targets, stack) -> list[LassoFolds]:
+    """Fit the lasso on every training set of each entry of ``stack``, given
+    as row runs into the predictors and targets (:class:`~tseval.splitters.Runs`,
+    as a plan's ``train``); returns one :class:`LassoFolds` per entry. See the
+    module docstring for the method; each solved set equals ``fit`` on the
+    set's rows within the solver's tolerance, whatever else is in the stack."""
+    if spec.kind != "lasso":
+        raise ValueError("fit_lasso_folds fits the lasso only")
+    if not all(np.diff(trains.start).all() for trains in stack):
+        raise ValueError("empty training set")
+    X, y = _validate_xy(predictors, targets)
+    Z = np.column_stack([X, y])
+    shift = Z.mean(axis=0)
+    Z -= shift
+    starts = np.cumsum([0, *(len(trains.start) - 1 for trains in stack)])
+    coefficients = np.full((starts[-1], X.shape[1]), np.nan)
+    intercepts = np.full(starts[-1], np.nan)
+    fits, waiting = [], None
+    for i, trains in enumerate(stack):
+        fitted, waiting = _plan_sets(Z, shift, trains, starts[i], waiting)
+        rows = slice(starts[i], starts[i + 1])
+        fits.append(LassoFolds(coefficients[rows], intercepts[rows], fitted))
+        # the last plan's sets all go; before it, only full calls, and the
+        # rest wait for the next plan's sets, copied off this plan's arrays
+        ready = waiting[0].size if i == len(stack) - 1 else waiting[0].size // _STACK * _STACK
+        for a in range(0, ready, _STACK):
+            _solve_sets(spec, [x[a : a + _STACK] for x in waiting], coefficients, intercepts)
+        waiting = [x[ready:].copy() for x in waiting]
+    return fits
+
+
+def _plan_sets(Z: np.ndarray, shift: np.ndarray, trains, first: int, waiting) -> tuple:
+    """Which of a plan's training sets are fitted, and the sets to solve:
+    ``waiting`` then the plan's, each with its row in the stack (the plan's
+    first is ``first``), scales, offsets to the original units, Gram matrix
+    and correlations. A set's moments of Z = [X, y] - ``shift`` are the
+    differences of one prefix sum of [1, z][1, z]' over its runs."""
     n, q = Z.shape
     W = np.column_stack([np.ones(n), Z])
     prefix = np.zeros((n + 1, q + 1, q + 1))
     np.cumsum(W[:, :, None] * W[:, None, :], axis=0, out=prefix[1:])
-    return np.add.reduceat(prefix[trains.hi] - prefix[trains.lo], trains.start[:-1])
-
-
-def fit_lasso_folds(spec: LearnerSpec, predictors, targets, trains) -> LassoFolds:
-    """Fit the lasso on each training set, given as row runs into the
-    predictors and targets (:class:`~tseval.splitters.Runs`, as a plan's
-    ``train``). See the module docstring for the method; each solved set
-    equals ``fit`` on the set's rows within the solver's tolerance."""
-    if spec.kind != "lasso":
-        raise ValueError("fit_lasso_folds fits the lasso only")
-    if not np.diff(trains.start).all():
-        raise ValueError("empty training set")
-    X, y = _validate_xy(predictors, targets)
-    p = X.shape[1]
-    Z = np.column_stack([X, y])
-    shift = Z.mean(axis=0)
-    sums = _set_moments(Z - shift, trains)
+    runs = prefix[trains.hi]
+    runs -= prefix[trains.lo]
+    sums = np.add.reduceat(runs, trains.start[:-1])
+    del prefix, runs  # before the moments' temporaries
     count = sums[:, 0, 0]
     moments = sums / count[:, None, None]
     mean = moments[:, 0, 1:]
@@ -331,20 +353,22 @@ def fit_lasso_folds(spec: LearnerSpec, predictors, targets, trains) -> LassoFold
     raw = moments[:, 1:, 1:].diagonal(axis1=1, axis2=2)
     fitted = (count >= 2) & np.all(var > _MOMENT_TOL * raw, axis=1)
     solved = np.flatnonzero(fitted)
-
+    p = q - 1
     sigma = np.sqrt(var[solved, :p])
     G = cov[solved, :p, :p] / (sigma[:, :, None] * sigma[:, None, :])
     c = cov[solved, :p, p] / sigma
-    beta, _ = _lasso_fits(spec, G, c, np.ones_like(c, dtype=bool))
+    part = (first + solved, sigma, mean[solved, :p] + shift[:p], mean[solved, p] + shift[p], G, c)
+    return fitted, part if waiting is None else [np.concatenate(x) for x in zip(waiting, part)]
 
-    F = len(count)
-    coefficients = np.full((F, p), np.nan)
-    intercepts = np.full(F, np.nan)
-    coefficients[solved] = beta / sigma
-    intercepts[solved] = mean[solved, p] + shift[p] - np.einsum(
-        "ij,ij->i", coefficients[solved], mean[solved, :p] + shift[:p]
-    )
-    return LassoFolds(coefficients, intercepts, fitted)
+
+def _solve_sets(spec: LearnerSpec, sets, coefficients, intercepts) -> None:
+    """Solve the sets of one lockstep call (see :func:`_plan_sets`) and write
+    their fits in the original units at their rows of ``coefficients`` and
+    ``intercepts``."""
+    rows, sigma, x_offset, y_offset, G, c = sets
+    beta, _ = _lasso_fits(spec, G, c, np.ones_like(c, dtype=bool), stacklevel=5)
+    coefficients[rows] = beta / sigma
+    intercepts[rows] = y_offset - np.einsum("ij,ij->i", coefficients[rows], x_offset)
 
 
 def fit(spec: LearnerSpec, predictors, targets) -> LassoModel | KnnModel:

@@ -19,7 +19,7 @@ from tseval import (
     bayes_sign_test,
     build_plan,
     embed,
-    estimate_loss,
+    estimate_losses,
     evaluation,
     fit,
     kkt_violation,
@@ -133,7 +133,7 @@ def linear_series(n=40):
 
 def test_estimate_loss_zero_on_perfectly_learnable_series():
     ds, spec = embed(linear_series(), 3), LearnerSpec(lam=0.0)
-    out = estimate_loss(ds, "Holdout", spec)
+    out = estimate_losses(ds, {"Holdout": None}, spec)["Holdout"]
     assert out.estimate == pytest.approx(0.0, abs=1e-8)
     folds, models = _fold_models(spec, ds, build_plan("Holdout", ds.n, p=3))
     assert folds.fitted.all()
@@ -142,11 +142,11 @@ def test_estimate_loss_zero_on_perfectly_learnable_series():
 
 
 def test_estimate_loss_single_iteration_equals_fold_loss():
-    out = estimate_loss(
+    out = estimate_losses(
         embed(TimeSeries(np.random.default_rng(0).normal(size=30)), 2),
-        "Holdout",
+        {"Holdout": None},
         LearnerSpec(),
-    )
+    )["Holdout"]
     assert len(out.fold_losses) == 1
     assert out.estimate == out.fold_losses[0]
 
@@ -181,7 +181,8 @@ FIXTURE_13 = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0, 5.0, 8.0, 9.0]
 def test_two_fold_knn_matches_hand_oracle():
     series = TimeSeries(FIXTURE_13)
     expected, fold_rmses = knn_two_fold_oracle(FIXTURE_13, p=5)
-    out = estimate_loss(embed(series, 5), "CV-Bl", LearnerSpec(kind="knn", k=1), K=2)
+    out = estimate_losses(embed(series, 5), {"CV-Bl": None}, LearnerSpec(kind="knn", k=1),
+                          K=2)["CV-Bl"]
     assert len(out.fold_losses) == 2
     assert out.fold_losses == pytest.approx(fold_rmses, abs=1e-12)
     assert out.estimate == pytest.approx(expected, abs=1e-12)
@@ -194,13 +195,13 @@ def test_run_plan_pooled_aggregation():
     ds = embed(series, 3)
     spec = LearnerSpec()
     for method in ("Preq-Grow", "Preq-Slide"):
-        pooled = run_plan(build_plan(method, ds.n), ds, spec)
+        [pooled] = run_plan([build_plan(method, ds.n)], ds, spec)
         # one test row per iteration: pooled = sqrt(mean of squares) > mean of abs
         assert pooled.estimate > np.mean(pooled.fold_losses)
         assert pooled.estimate == pytest.approx(
             math.sqrt(np.mean(np.square(pooled.fold_losses)))
         )
-    blocks = run_plan(build_plan("Preq-Bls", ds.n, K=5), ds, spec)
+    [blocks] = run_plan([build_plan("Preq-Bls", ds.n, K=5)], ds, spec)
     assert blocks.estimate == pytest.approx(np.mean(blocks.fold_losses))
     assert blocks.estimate != pytest.approx(
         math.sqrt(np.mean(np.square(blocks.fold_losses)))
@@ -222,8 +223,7 @@ def test_estimate_loss_iteration_order_does_not_matter():
                                    reversed_runs(plan.test))
     assert [it.test.tolist() for it in reversed_plan.iterations] == [
         it.test.tolist() for it in plan.iterations[::-1]]
-    a = run_plan(plan, ds, LearnerSpec())
-    b = run_plan(reversed_plan, ds, LearnerSpec())
+    a, b = run_plan([plan, reversed_plan], ds, LearnerSpec())
     assert a.estimate == pytest.approx(b.estimate)
 
 

@@ -6,17 +6,23 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from tseval import (
+    METHODS,
     EstimationResult,
     ExperimentConfig,
     LearnerSpec,
     TimeSeries,
+    build_plan,
     compare_to_baseline,
     derive_seed,
+    embed,
+    estimation_validation_split,
     read_results_csv,
     results_to_csv,
     run_experiment,
+    run_plan,
     write_csv,
 )
+from tseval import evaluation
 from tseval.harness import RESULTS_HEADER, rank_table_csv, results_rank_table
 
 
@@ -85,6 +91,50 @@ def test_method_failure_is_isolated(tmp_path):
         )
     )
     assert alone.results == (outcome.results[0],)
+
+
+EMPTY_CV_MOD = ("CV-Mod: empty training set in iteration 0 "
+                "(removal radius 30 covers every training row)")
+
+
+@pytest.mark.parametrize("learner, failed", [
+    (LearnerSpec(), {"CV-Mod": EMPTY_CV_MOD}),
+    (LearnerSpec(kind="knn"), {"CV-Mod": EMPTY_CV_MOD}),
+    # the first block of each blocked prequential plan trains on 25 rows, and
+    # its k-NN fallback refuses them
+    (LearnerSpec(kind="knn", k=40), {
+        **{m: "knn with k=40 needs at least 40 training rows, got 25"
+           for m in ("Preq-Bls", "Preq-Sld-Bls", "Preq-Bls-Gap")},
+        "CV-Mod": EMPTY_CV_MOD}),
+])
+def test_a_problem_s_plans_fail_alone_and_the_rest_score_as_alone(
+        learner, failed, tmp_path, caplog):
+    # at p = 30, CV-Mod's removal leaves no training rows; the plans that run
+    # share their lasso stack, yet each scores as it does on its own
+    series = TimeSeries(50.0 + np.cumsum(np.random.default_rng(3).normal(size=400)), name="walk")
+    path = tmp_path / "walk.csv"
+    write_csv(series, path)
+    config = ExperimentConfig(csv_paths=(str(path),), embedding=30, learner=learner, base_seed=4)
+    caplog.set_level(logging.WARNING, logger="tseval")
+    outcome = run_experiment(config)
+    assert [(m, reason) for _, m, reason in outcome.failures] == list(failed.items())
+    assert caplog.messages == [f"{m} on walk failed: {reason}" for m, reason in failed.items()]
+    assert [r.method for r in outcome.results] == [m for m in METHODS if m not in failed]
+    dataset = embed(estimation_validation_split(series, config.estimation_fraction)[0], 30)
+    for r in outcome.results:
+        plan = build_plan(r.method, dataset.n, p=30, seed=derive_seed(4, "walk", r.method))
+        [alone] = run_plan([plan], dataset, learner)
+        assert r.estimate == alone.estimate, r.method
+
+
+def test_a_failed_shared_lasso_fit_fails_every_method_of_its_problem(small_csv, monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(evaluation, "fit_lasso_folds", singular)
+    outcome = run_experiment(ExperimentConfig(csv_paths=(str(small_csv),), embedding=3))
+    assert outcome.results == ()
+    assert outcome.failures == tuple(("series", m, "Singular matrix") for m in METHODS)
 
 
 def brute_knn(train_X, train_y, test_X, k=5):

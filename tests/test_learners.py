@@ -1,5 +1,4 @@
 import logging
-import re
 import tracemalloc
 import warnings
 
@@ -136,6 +135,15 @@ def test_path_out_of_breakpoints_warns_and_stops_on_its_active_set(monkeypatch):
     Xs = (X - model.column_means) / model.column_scales
     grad = Xs.T @ (y - y.mean() - Xs @ model.std_coefficients) / y.size
     assert np.abs(grad[active]).max() <= 1e-12
+
+
+def test_a_fold_out_of_breakpoints_warns_at_the_caller_of_run_plan(monkeypatch):
+    ds = embed(TimeSeries(_walk(np.random.default_rng(7), 120)), 5)
+    plans = [build_plan(method, ds.n, seed=1) for method in ("CV", "Preq-Grow")]
+    monkeypatch.setattr(learners, "MAX_ITER", 1)
+    with pytest.warns(UserWarning, match="max_iter=1") as caught:
+        run_plan(plans, ds, LearnerSpec(lam=0.0))
+    assert {w.filename for w in caught} == {__file__}
 
 
 def test_default_penalty_is_lambda_max_fraction():
@@ -293,10 +301,11 @@ def test_run_plan_lasso_matches_per_fold_fits(kind, p):
     values = SERIES[kind](np.random.default_rng([p, len(kind)]), 200 if p < 30 else 400)
     ds = embed(TimeSeries(values), p)
     spec = LearnerSpec()
-    for plan in _plans(ds, p):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = run_plan(plan, ds, spec)
+    plans = _plans(ds, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = run_plan(plans, ds, spec)
+    for plan, got in zip(plans, outcomes):
         estimate, folds = per_fold_losses(plan, ds, spec)
         assert got.estimate == pytest.approx(estimate, rel=1e-9), plan.method
         # a one-row fold's loss can be ~0, so its error is scaled by the estimate
@@ -306,7 +315,7 @@ def test_run_plan_lasso_matches_per_fold_fits(kind, p):
 def _fold_models(spec, ds, plan):
     """Each fitted fold as a LassoModel, with its penalty and scaling
     recomputed from the fold's own rows."""
-    folds = fit_lasso_folds(spec, ds.predictors, ds.targets, plan.train)
+    [folds] = fit_lasso_folds(spec, ds.predictors, ds.targets, [plan.train])
     models = []
     for i in np.flatnonzero(folds.fitted):
         train = plan.iterations[i].train
@@ -343,21 +352,40 @@ def test_shift_series_folds_take_more_than_one_sign_pattern():
 
 @pytest.mark.parametrize("p", [2, 5, 30])
 @pytest.mark.parametrize("kind", ["walk", "shift", "trend"])
-def test_a_fold_fits_the_same_alone_or_in_its_plan(kind, p):
-    # at p = 30 the 185 Preq-Grow folds span two chunks of the stacked path
+def test_a_fold_fits_the_same_alone_or_in_its_plan(kind, p, monkeypatch):
+    # every plan of one problem in one stack, with a one-row set left to fit
+    # in the middle: the lockstep calls take the sets in order, full calls of
+    # 128 that span plans, and none of it moves a fit by a bit
     values = SERIES[kind](np.random.default_rng([p, len(kind)]), 200 if p < 30 else 400)
     ds = embed(TimeSeries(values), p)
     spec = LearnerSpec()
-    for method in ("Preq-Grow", "CV", "Rep-Holdout", "Preq-Bls"):
-        train = build_plan(method, ds.n, p=p, seed=3).train
-        folds = fit_lasso_folds(spec, ds.predictors, ds.targets, train)
-        F = len(train.start) - 1
-        for i in range(0, F, max(1, F // 12)):
-            runs = slice(train.start[i], train.start[i + 1])
-            alone = fit_lasso_folds(spec, ds.predictors, ds.targets,
-                                    Runs(train.lo[runs], train.hi[runs], [0, runs.stop - runs.start]))
-            assert np.array_equal(alone.coefficients[0], folds.coefficients[i]), (method, i)
-            assert alone.intercepts[0] == folds.intercepts[i], (method, i)
+    stack = [plan.train for plan in _plans(ds, p)]
+    middle = len(stack) // 2
+    stack.insert(middle, Runs([0, 0], [1, ds.n // 2], [0, 1, 2]))
+    sizes = []
+
+    def recorded(G, c, lam, live, paths=learners._lasso_paths):
+        sizes.append(len(c))
+        return paths(G, c, lam, live)
+
+    monkeypatch.setattr(learners, "_lasso_paths", recorded)
+    together = fit_lasso_folds(spec, ds.predictors, ds.targets, stack)
+    solved = sum(int(folds.fitted.sum()) for folds in together)
+    assert sizes == [128] * (solved // 128) + ([solved % 128] if solved % 128 else [])
+    assert together[middle].fitted.tolist() == [False, True]
+    for trains, folds in zip(stack, together):
+        [plan] = fit_lasso_folds(spec, ds.predictors, ds.targets, [trains])
+        assert np.array_equal(plan.fitted, folds.fitted)
+        assert np.array_equal(plan.coefficients, folds.coefficients, equal_nan=True)
+        assert np.array_equal(plan.intercepts, folds.intercepts, equal_nan=True)
+        F = len(trains.start) - 1
+        for i in range(0, F, max(1, F // 4)):
+            runs = slice(trains.start[i], trains.start[i + 1])
+            [alone] = fit_lasso_folds(spec, ds.predictors, ds.targets, [
+                Runs(trains.lo[runs], trains.hi[runs], [0, runs.stop - runs.start])])
+            assert np.array_equal(alone.coefficients[0], folds.coefficients[i], equal_nan=True)
+            assert np.array_equal(alone.intercepts[0], folds.intercepts[i], equal_nan=True)
+    assert max(sizes) <= 128
 
 
 def test_nearly_constant_column_falls_back_to_fit(caplog):
@@ -368,11 +396,11 @@ def test_nearly_constant_column_falls_back_to_fit(caplog):
     values[40:60] = 1.5
     ds = embed(TimeSeries(values), 2)
     plan = build_plan("Preq-Sld-Bls", ds.n)
-    folds = fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, plan.train)
+    [folds] = fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, [plan.train])
     assert np.flatnonzero(~folds.fitted).tolist() == [2]
     assert np.isnan(folds.coefficients[2]).all()
     caplog.set_level(logging.DEBUG, logger="tseval")
-    got = run_plan(plan, ds, LearnerSpec())
+    [got] = run_plan([plan], ds, LearnerSpec())
     assert "iterations" not in vars(plan)  # the fallback reads the train runs
     assert f"1 fallback folds, {plan.test.sizes()[2]} fallback rows" in caplog.text
     estimate, losses = per_fold_losses(plan, ds, LearnerSpec())
@@ -384,10 +412,11 @@ def test_nearly_constant_column_falls_back_to_fit(caplog):
 def test_single_row_fold_falls_back_to_fit():
     ds = embed(TimeSeries(np.random.default_rng(4).normal(size=30)), 2)
     trains = Runs(lo=[0, 0], hi=[1, 10], start=[0, 1, 2])  # rows [0] and 0..9
-    folds = fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, trains)
+    [folds] = fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, [trains])
     assert folds.fitted.tolist() == [False, True]
     with pytest.raises(ValueError, match="empty training set"):
-        fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, Runs([0], [10], [0, 1, 1]))
+        fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets,
+                        [trains, Runs([0], [10], [0, 1, 1])])
 
 
 def test_zero_penalty_on_a_line_predicts_exactly():
@@ -395,10 +424,11 @@ def test_zero_penalty_on_a_line_predicts_exactly():
     # path keeps one of them, and the others' gradients must vanish at lam=0
     ds = embed(TimeSeries(np.arange(60.0)), 3)
     spec = LearnerSpec(lam=0.0)
-    for plan in _plans(ds, 3):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = run_plan(plan, ds, spec)
+    plans = _plans(ds, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = run_plan(plans, ds, spec)
+    for plan, got in zip(plans, outcomes):
         assert got.estimate == pytest.approx(0.0, abs=1e-9)
         assert np.max(got.fold_losses) == pytest.approx(0.0, abs=1e-9)
         folds, models = _fold_models(spec, ds, plan)
@@ -425,7 +455,7 @@ def test_collinear_columns_give_no_singular_solution(equal_rows_first):
     trains = halves[::-1] if equal_rows_first else halves
     spec = LearnerSpec()
     runs = Runs([t[0] for t in trains], [t[-1] + 1 for t in trains], [0, 1, 2])
-    folds = fit_lasso_folds(spec, X, y, runs)
+    [folds] = fit_lasso_folds(spec, X, y, [runs])
     assert folds.fitted.all()
     for i, train in enumerate(trains):
         assert np.all(np.abs(folds.coefficients[i] * X[train].std(axis=0)) <= 1e3)
@@ -468,8 +498,8 @@ def per_fold_knn(plan, ds, spec):
 
 def assert_knn_plans_exact(ds, k):
     spec = LearnerSpec(kind="knn", k=k)
-    for plan in _plans(ds, ds.p):
-        got = run_plan(plan, ds, spec)
+    plans = _plans(ds, ds.p)
+    for plan, got in zip(plans, run_plan(plans, ds, spec)):
         estimate, folds = per_fold_knn(plan, ds, spec)
         assert got.estimate == estimate, plan.method
         assert got.fold_losses == folds, plan.method
@@ -528,7 +558,7 @@ def test_run_plan_knn_holdout_rows_beyond_the_window(caplog):
     ds = embed(TimeSeries(_walk(np.random.default_rng(19), 800)), 2)
     plan = build_plan("Holdout", ds.n, p=2)
     caplog.set_level(logging.DEBUG, logger="tseval")
-    run_plan(plan, ds, LearnerSpec(kind="knn", k=5))
+    run_plan([plan], ds, LearnerSpec(kind="knn", k=5))
     assert "iterations" not in vars(plan)  # the fallback reads the train runs
     short = _short_windows(ds, plan, 5)
     assert short > 0
@@ -547,7 +577,7 @@ def test_run_plan_knn_multi_run_fold_beyond_the_window(scale):
     with np.errstate(over="ignore"):
         assert np.isinf(squared_distances(ds.predictors, ds.predictors)).any() == (scale > 1)
         assert _short_windows(ds, plan, 5) > 0
-        got = run_plan(plan, ds, spec)
+        [got] = run_plan([plan], ds, spec)
         assert (got.estimate, got.fold_losses) == per_fold_knn(plan, ds, spec)
 
 
@@ -606,8 +636,8 @@ def test_run_plan_knn_refuses_a_training_set_smaller_than_k():
         for it in plan.iterations:
             fit(spec, ds.predictors[it.train], ds.targets[it.train])
     assert "got 4" in str(expected.value)  # the first short fold, not the shortest
-    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
-        run_plan(plan, ds, spec)
+    [got] = run_plan([plan], ds, spec)  # the plan's error, returned
+    assert type(got) is type(expected.value) and str(got) == str(expected.value)
 
 
 def test_knn_predict_memory_is_bounded():
@@ -629,8 +659,7 @@ def test_run_plan_knn_memory_is_bounded():
     plans = [build_plan(method, ds.n, p=5, seed=3) for method in ("Holdout", "Preq-Bls", "CV")]
     tracemalloc.start()
     try:
-        for plan in plans:
-            run_plan(plan, ds, spec)
+        run_plan(plans, ds, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
