@@ -31,7 +31,6 @@ from .learners import (
     fit,
     fit_lasso_folds,
     kkt_violation,
-    lambda_max,
     predict,
 )
 from .series import (

@@ -11,9 +11,8 @@ rows) hold about ``_CHUNK`` entries whatever the length of the series.
 :func:`squared_distances`, the k-NN metric, is the same running sum, in
 coordinate order. :func:`nearest_rows` is the one k-NN neighbour search: it
 orders those distances one row chunk at a time, for k-NN ``predict`` and for
-an :class:`EmbeddedDataset`, which keeps no distance matrix: once asked, it
-keeps each row's first ``KNN_WINDOW`` neighbours, so it holds ``KNN_WINDOW``
-integers a row whatever the length of the series.
+the neighbour window that :func:`~tseval.evaluation.run_plan` builds once per
+problem. An :class:`EmbeddedDataset` holds only the rows and their targets.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,7 +27,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .series import TimeSeries
 
 __all__ = [
-    "KNN_WINDOW",
     "EmbeddedDataset",
     "embed",
     "squared_distances",
@@ -68,18 +65,6 @@ class EmbeddedDataset:
     def n(self) -> int:
         return int(self.targets.size)
 
-    @cached_property
-    def knn_window(self) -> np.ndarray:
-        """Read-only n x min(``KNN_WINDOW``, n) array, computed on first use:
-        row i holds its first :func:`nearest_rows` among every row, which is
-        the order in which k-NN ``predict`` would take them as neighbours."""
-        window = nearest_rows(self.predictors, self.predictors, min(KNN_WINDOW, self.n))
-        window.flags.writeable = False
-        return window
-
-
-# columns of each row's k-NN neighbour order that a dataset keeps
-KNN_WINDOW = 128
 
 # entries of the temporaries that one row chunk may hold (1 MiB of floats);
 # squared distances take chunks a quarter that size, which stay in cache

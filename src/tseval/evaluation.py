@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddedDataset, _row_chunks, embed
+from .embedding import EmbeddedDataset, _row_chunks, embed, nearest_rows
 from .learners import LearnerSpec, fit, fit_lasso_folds, predict
 from .series import TimeSeries
 from .splitters import ResamplingPlan, build_plan
@@ -85,6 +85,9 @@ class LossEstimate:
 # before the root keeps those estimates on the same scale as the block methods.
 _POOLED = ("Preq-Grow", "Preq-Slide")
 
+# columns of each row's k-NN neighbour order that run_plan builds per problem
+KNN_WINDOW = 128
+
 
 def run_plan(plans, dataset, learner: LearnerSpec) -> list[LossEstimate | Exception]:
     """Fit/score the learner over every iteration of each of a problem's plans,
@@ -97,10 +100,11 @@ def run_plan(plans, dataset, learner: LearnerSpec) -> list[LossEstimate | Except
     folds' lasso paths followed in lockstep, up to 128 folds of any plans to
     a call) and predicts each plan's test rows in one product.
 
-    k-NN predicts each plan's test rows in row chunks from the dataset's
-    ``knn_window``, each row's nearest rows in neighbour order, computed once
-    per dataset: a row's neighbours are the first k of its window that lie in
-    its fold's training runs.
+    k-NN predicts each plan's test rows in row chunks from one neighbour
+    window that the plans share, each row's first ``KNN_WINDOW`` rows in
+    :func:`~tseval.embedding.nearest_rows` order, built once per call: a row's
+    neighbours are the first k of its window that lie in its fold's training
+    runs.
 
     Both leave some test rows to one fallback: the rows of the lasso's
     folds that ``fit_lasso_folds`` leaves to ``fit`` (fewer than two rows,
@@ -114,37 +118,40 @@ def run_plan(plans, dataset, learner: LearnerSpec) -> list[LossEstimate | Except
 
     The estimate averages per-iteration RMSEs (one error estimate per fold),
     except for Preq-Grow and Preq-Slide, whose squared errors are pooled
-    across iterations before taking the root.
+    across iterations before taking the root. An estimate that is not finite
+    fails its plan, and a failure of the shared fit or window fails every plan.
     """
-    folds = [None] * len(plans)
-    if learner.kind == "lasso":
-        try:
-            folds = fit_lasso_folds(learner, dataset.predictors, dataset.targets,
-                                    [plan.train for plan in plans])
-        except Exception as exc:  # noqa: BLE001 - the plans share the fit and fail together
-            return [exc.with_traceback(None)] * len(plans)
+    X = dataset.predictors
+    try:
+        if learner.kind == "lasso":
+            shared = fit_lasso_folds(learner, X, dataset.targets, [plan.train for plan in plans])
+        else:
+            shared = [nearest_rows(X, X, min(KNN_WINDOW, dataset.n))] * len(plans)
+    except Exception as exc:  # noqa: BLE001 - the plans share this work and fail together
+        return [exc.with_traceback(None)] * len(plans)
     outcomes: list[LossEstimate | Exception] = []
-    for plan, fits in zip(plans, folds):
+    for plan, own in zip(plans, shared):
         try:
-            outcomes.append(_plan_loss(plan, dataset, learner, fits))
+            outcomes.append(_plan_loss(plan, dataset, learner, own))
         except Exception as exc:  # noqa: BLE001 - isolate per plan
             outcomes.append(exc.with_traceback(None))
     return outcomes
 
 
-def _plan_loss(plan: ResamplingPlan, dataset, learner: LearnerSpec, folds) -> LossEstimate:
-    """One plan's estimate from its lasso ``folds`` or its k-NN predictions."""
+def _plan_loss(plan: ResamplingPlan, dataset, learner: LearnerSpec, shared) -> LossEstimate:
+    """One plan's estimate from its lasso folds or, for k-NN, the neighbour
+    window (``shared``)."""
     X, y, train = dataset.predictors, dataset.targets, plan.train
     tests = plan.test.rows()
     bounds = np.concatenate(([0], np.cumsum(plan.test.sizes())))
     fold = np.repeat(np.arange(len(plan.test)), np.diff(bounds))
     if learner.kind == "lasso":
         predictions = np.einsum(
-            "ij,ij->i", X[tests], folds.coefficients[fold]
-        ) + folds.intercepts[fold]
-        left = ~folds.fitted[fold]
+            "ij,ij->i", X[tests], shared.coefficients[fold]
+        ) + shared.intercepts[fold]
+        left = ~shared.fitted[fold]
     else:
-        predictions, left = _knn_predictions(learner.k, dataset, train, tests, fold)
+        predictions, left = _knn_predictions(learner.k, y, shared, train, tests, fold)
     refit = np.flatnonzero(np.logical_or.reduceat(left, bounds[:-1]))
     for i in refit.tolist():
         runs = slice(train.start[i], train.start[i + 1])
@@ -165,15 +172,17 @@ def _plan_loss(plan: ResamplingPlan, dataset, learner: LearnerSpec, folds) -> Lo
         estimate = float(np.sqrt(sum(squares.tolist()) / squares.size))
     else:
         estimate = float(np.mean(fold_losses))
+    if not math.isfinite(estimate):
+        raise ValueError(f"estimate {estimate} is not finite")
     return LossEstimate(estimate, tuple(fold_losses.tolist()))
 
 
-def _knn_predictions(k: int, dataset, train, tests, fold) -> tuple[np.ndarray, np.ndarray]:
-    """k-NN predictions of every test row of a plan from the dataset's
-    neighbour window (see :func:`run_plan`), and a mask of the rows whose
+def _knn_predictions(k: int, y, window, train, tests, fold) -> tuple[np.ndarray, np.ndarray]:
+    """k-NN predictions of every test row of a plan from the neighbour
+    ``window`` (see :func:`run_plan`), and a mask of the rows whose
     window holds fewer than k of their fold's training rows; those rows'
     predictions are left unset."""
-    y, n, owner = dataset.targets, dataset.n, train.owner()
+    n, owner = y.size, train.owner()
     predictions = np.empty(tests.size)
     short = np.empty(tests.size, dtype=bool)
     for rows in _row_chunks(tests.size, n):
@@ -184,13 +193,13 @@ def _knn_predictions(k: int, dataset, train, tests, fold) -> tuple[np.ndarray, n
         edges[owner[runs] - first, train.lo[runs]] = 1
         edges[owner[runs] - first, train.hi[runs]] = -1
         member = np.cumsum(edges[:, :n], axis=1, dtype=np.int8).astype(bool)
-        window = dataset.knn_window[tests[rows]]
-        inside = member[fold[rows, None] - first, window]
+        near = window[tests[rows]]
+        inside = member[fold[rows, None] - first, near]
         inside &= np.cumsum(inside, axis=1) <= k  # the first k training rows
         found = np.count_nonzero(inside, axis=1) == k
         short[rows] = ~found
         out = predictions[rows]  # a view: what is written to it lands in predictions
-        out[found] = y[window[found][inside[found]].reshape(-1, k)].mean(axis=1)
+        out[found] = y[near[found][inside[found]].reshape(-1, k)].mean(axis=1)
     return predictions, short
 
 
@@ -199,8 +208,8 @@ def estimate_losses(dataset: EmbeddedDataset, seeds: dict, learner: LearnerSpec,
     """Build the plan of each method in ``seeds`` (method name -> plan seed or
     None) over the rows of an embedded estimation series, and run them all in
     one :func:`run_plan`. Returns each method's estimate, or the exception
-    that stopped it alone, in the order of ``seeds``. The caller embeds the
-    series once, so k-NN computes the rows' neighbour window once too."""
+    that stopped it alone, in the order of ``seeds``. The plans share the
+    lasso fits or the k-NN neighbour window of that one call."""
     outcomes: dict[str, LossEstimate | Exception] = {}
     plans = []
     for method, seed in seeds.items():
@@ -232,7 +241,10 @@ def true_loss(
     dataset = embed(full, p)
     X, y, train = dataset.predictors, dataset.targets, n_est - p
     model = fit(learner, X[:train], y[:train])
-    return rmse(predict(model, X[train:]), y[train:])
+    loss = rmse(predict(model, X[train:]), y[train:])
+    if not math.isfinite(loss):
+        raise ValueError(f"true loss {loss} is not finite")
+    return loss
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
             else:
                 results.append(EstimationResult(problem_id, method, outcome.estimate, L))
         logger.info("finished problem %s (p=%d)", problem_id, p)
-        del dataset  # and its k-NN neighbour window, before the next problem's FNN
     table = results_rank_table(results, config.methods)
     return ExperimentOutcome(tuple(results), table, tuple(failures))
 

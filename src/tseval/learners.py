@@ -38,7 +38,6 @@ __all__ = [
     "fit",
     "fit_lasso_folds",
     "predict",
-    "lambda_max",
     "kkt_violation",
 ]
 
@@ -108,16 +107,6 @@ def _validate_xy(predictors, targets) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite training values")
     return X, y
-
-
-def lambda_max(predictors, targets) -> float:
-    """Smallest penalty that zeroes every coefficient: max_j |<x_j, y>| / n
-    on standardized predictors and centered targets."""
-    X, y = _validate_xy(predictors, targets)
-    if y.size < 2 or X.shape[1] == 0:
-        return 0.0
-    *_, c = _standardized_gram(X, y)
-    return float(np.max(np.abs(c)))
 
 
 def _standardized_gram(

@@ -11,7 +11,7 @@ import pytest
 import tseval
 from tseval import EstimationResult, TimeSeries, load_csv, write_csv
 from tseval.cli import build_parser, main
-from tseval.harness import ExperimentConfig, results_to_csv
+from tseval.harness import ExperimentConfig, results_to_csv, run_experiment
 
 
 def run_cli(*args):
@@ -421,6 +421,58 @@ def test_partial_failure_exit_code(tmp_path):
         "--methods", "Holdout,Preq-Bls", "--out", str(tmp_path / "r.csv"),
     )
     assert code == 2
+
+
+def _overflow_inputs(tmp_path):
+    """A 300-point walk, 300 normal draws times 1e200, and the walk with one
+    value set to 1e160, as CSV paths."""
+    rng = np.random.default_rng(3)
+    walk = np.cumsum(rng.normal(size=300))
+    spike = walk.copy()
+    spike[5] = 1e160
+    paths = {name: tmp_path / f"{name}.csv" for name in ("ok", "huge", "spike")}
+    for name, values in (("ok", walk), ("huge", 1e200 * rng.normal(size=300)), ("spike", spike)):
+        write_csv(TimeSeries(values, name=name), paths[name])
+    return paths
+
+
+def _evaluate(out, *paths, learner):
+    csvs = [arg for path in paths for arg in ("--csv", str(path))]
+    return run_cli("evaluate", *csvs, "--p", "3", "--learner", learner, "--out", str(out))
+
+
+# the warnings a command-line user gets are printed, not raised: raised, the
+# first overflow would fail its pair before any loss is inf
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+@pytest.mark.parametrize("learner", ["lasso", "knn"])
+def test_a_problem_whose_true_loss_overflows_fails_alone(tmp_path, learner):
+    paths = _overflow_inputs(tmp_path)
+    alone, both = tmp_path / "alone.csv", tmp_path / "both.csv"
+    assert _evaluate(alone, paths["ok"], learner=learner) == 0
+    assert _evaluate(both, paths["ok"], paths["huge"], learner=learner) == 2
+    assert both.read_bytes() == alone.read_bytes()
+    config = ExperimentConfig(csv_paths=(str(paths["ok"]), str(paths["huge"])), embedding=3,
+                              learner=tseval.LearnerSpec(kind=learner))
+    assert run_experiment(config).failures == tuple(
+        ("huge", method, "true loss inf is not finite") for method in tseval.METHODS)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+def test_a_method_whose_estimate_overflows_fails_alone(tmp_path):
+    paths = _overflow_inputs(tmp_path)
+    alone, both = tmp_path / "alone.csv", tmp_path / "both.csv"
+    assert _evaluate(alone, paths["ok"], learner="knn") == 0
+    assert _evaluate(both, paths["ok"], paths["spike"], learner="knn") == 2
+    ok_rows, spike_rows = [], []
+    for line in both.read_text().splitlines(keepends=True)[1:]:
+        (ok_rows if line.startswith("ok,") else spike_rows).append(line)
+    assert ok_rows == alone.read_text().splitlines(keepends=True)[1:]
+    assert spike_rows and all(np.isfinite(float(line.split(",")[2])) for line in spike_rows)
+    config = ExperimentConfig(csv_paths=(str(paths["spike"]),), embedding=3,
+                              learner=tseval.LearnerSpec(kind="knn"))
+    failures = run_experiment(config).failures
+    assert len(failures) + len(spike_rows) == len(tseval.METHODS)
+    assert {reason for _, _, reason in failures} == {"estimate inf is not finite"}
 
 
 def test_duplicate_problem_names_are_rejected(tmp_path, caplog):

@@ -13,6 +13,7 @@ from tseval import (
     estimate_embedding_dimension,
     fnn_fractions,
 )
+from tseval.evaluation import KNN_WINDOW
 
 
 def brute_fnn_fraction(y, d, r_tol=10.0, a_tol=2.0):
@@ -222,14 +223,13 @@ def test_fnn_memory_is_about_half_a_running_sum_matrix():
     assert peak < 0.75 * 8 * (t - 1) ** 2
 
 
-def test_knn_window_is_read_only_computed_once_and_a_stable_sort():
+def test_knn_window_is_a_stable_sort():
     # one decimal puts many rows equally far apart, also at the window's edge
     ds = embed(TimeSeries(np.round(np.random.default_rng(24).normal(size=300), 1)), 2)
-    window = ds.knn_window
-    assert ds.knn_window is window and not window.flags.writeable
-    assert ds.n > embedding.KNN_WINDOW and window.shape == (ds.n, embedding.KNN_WINDOW)
+    window = embedding.nearest_rows(ds.predictors, ds.predictors, KNN_WINDOW)
+    assert ds.n > KNN_WINDOW and window.shape == (ds.n, KNN_WINDOW)
     D = embedding.squared_distances(ds.predictors, ds.predictors)
-    expected = np.argsort(D, axis=1, kind="stable")[:, : embedding.KNN_WINDOW]
+    expected = np.argsort(D, axis=1, kind="stable")[:, :KNN_WINDOW]
     assert np.array_equal(window, expected)
 
 

@@ -20,13 +20,22 @@ from tseval import (
     fit,
     fit_lasso_folds,
     kkt_violation,
-    lambda_max,
     predict,
     run_plan,
 )
-from tseval import learners
-from tseval.embedding import KNN_WINDOW, squared_distances
+from tseval import evaluation, learners
+from tseval.embedding import nearest_rows, squared_distances
+from tseval.evaluation import KNN_WINDOW
 from tseval.synthetic import simulate
+
+
+def lambda_max(X, y):
+    """Smallest penalty that zeroes every coefficient: max_j |x_j'(y - mean y)| / n
+    over the standardized columns x_j (a constant column's entry is zero)."""
+    Xc = X - X.mean(axis=0)
+    sigma = np.sqrt(np.mean(Xc**2, axis=0))
+    c = (y - y.mean()) @ Xc / (y.size * np.where(sigma > 0, sigma, 1.0))
+    return float(np.max(np.abs(c), initial=0.0))
 
 
 def test_spec_validation():
@@ -521,11 +530,17 @@ def _tied_at_kth(ds, k):
     return bool(np.any(ordered[:, k - 1] == ordered[:, k]))
 
 
+def _window(ds):
+    """The neighbour window that run_plan builds for k-NN."""
+    return nearest_rows(ds.predictors, ds.predictors, min(KNN_WINDOW, ds.n))
+
+
 def _short_windows(ds, plan, k):
     """How many test rows of the plan have fewer than k of their fold's
     training rows in their neighbour window."""
+    window = _window(ds)
     return sum(
-        int(np.count_nonzero(np.isin(ds.knn_window[it.test], it.train).sum(axis=1) < k))
+        int(np.count_nonzero(np.isin(window[it.test], it.train).sum(axis=1) < k))
         for it in plan.iterations
     )
 
@@ -567,25 +582,74 @@ def test_run_plan_knn_holdout_rows_beyond_the_window(caplog):
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e154])
-def test_run_plan_knn_multi_run_fold_beyond_the_window(scale):
+def test_run_plan_knn_multi_run_fold_beyond_the_window(scale, monkeypatch):
     # trains on two runs in the middle of a drifting walk and tests on its end;
-    # at 1e154 most distances overflow, so a masked row must rank them first
+    # at 1e154 most distances overflow, so a masked row must rank them first;
+    # the squared errors overflow too, so the rows' predictions are compared
     ds = embed(TimeSeries(scale * _walk(np.random.default_rng(20), 400)), 2)
     plan = ResamplingPlan("CV-Bl", ds.n, Runs([150, 200], [190, 240], [0, 2]),
                           Runs([340], [ds.n], [0, 1]))
     spec = LearnerSpec(kind="knn", k=5)
+    knn_predictions, seen = evaluation._knn_predictions, []
+
+    def recorded(*args):
+        predictions, short = knn_predictions(*args)
+        seen.append(predictions)  # the fallback then fills in its rows
+        return predictions, short
+
+    monkeypatch.setattr(evaluation, "_knn_predictions", recorded)
+    [it] = plan.iterations
     with np.errstate(over="ignore"):
         assert np.isinf(squared_distances(ds.predictors, ds.predictors)).any() == (scale > 1)
         assert _short_windows(ds, plan, 5) > 0
         [got] = run_plan([plan], ds, spec)
-        assert (got.estimate, got.fold_losses) == per_fold_knn(plan, ds, spec)
+        estimate, folds = per_fold_knn(plan, ds, spec)
+        model = fit(spec, ds.predictors[it.train], ds.targets[it.train])
+        assert np.array_equal(seen[0], predict(model, ds.predictors[it.test]))
+    if scale == 1:
+        assert (got.estimate, got.fold_losses) == (estimate, folds)
+    else:  # the estimate overflows, and its plan fails with that reason
+        assert estimate == np.inf and str(got) == "estimate inf is not finite"
 
 
 def test_run_plan_knn_rows_within_one_window():
     ds = embed(TimeSeries(_trend(np.random.default_rng(21), 100)), 3)
-    assert ds.n <= KNN_WINDOW and ds.knn_window.shape == (ds.n, ds.n)
+    assert ds.n <= KNN_WINDOW and _window(ds).shape == (ds.n, ds.n)
     for k in (1, 5):
         assert_knn_plans_exact(ds, k)
+
+
+def test_run_plan_builds_one_knn_window_per_call_and_none_for_the_lasso(monkeypatch):
+    ds = embed(TimeSeries(_walk(np.random.default_rng(22), 300)), 3)
+    plans = _plans(ds, ds.p)
+    assert len(plans) == len(METHODS)
+    calls = []
+
+    def counted(A, B, k):
+        calls.append((A, B, k))
+        return nearest_rows(A, B, k)
+
+    monkeypatch.setattr(evaluation, "nearest_rows", counted)
+    run_plan(plans, ds, LearnerSpec())
+    assert calls == []
+    outcomes = run_plan(plans, ds, LearnerSpec(kind="knn", k=5))
+    assert not any(isinstance(outcome, Exception) for outcome in outcomes)
+    [(A, B, k)] = calls
+    assert A is ds.predictors and B is ds.predictors and k == KNN_WINDOW
+
+
+def test_a_failed_knn_window_fails_every_plan_of_its_call(monkeypatch):
+    ds = embed(TimeSeries(_walk(np.random.default_rng(22), 300)), 3)
+    plans = _plans(ds, ds.p)
+
+    def out_of_memory(*args):
+        raise MemoryError("no room for the window")
+
+    monkeypatch.setattr(evaluation, "nearest_rows", out_of_memory)
+    outcomes = run_plan(plans, ds, LearnerSpec(kind="knn", k=5))
+    assert len(outcomes) == len(plans)
+    assert all(isinstance(o, MemoryError) and str(o) == "no room for the window"
+               for o in outcomes)
 
 
 @pytest.mark.parametrize("k", [1, 5])

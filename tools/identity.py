@@ -40,6 +40,9 @@ PANEL_SEEDS = range(1, 11)
 LEARNERS = ("lasso", "knn")
 # 400-point walks rounded to one decimal: equal distances, so k-NN ties break
 DECIMAL_SEEDS = range(1, 9)
+# walks of these lengths, by name under inputs/failing: a normal problem and
+# two that fail before any estimate
+FAILING = {"ok": 300, "short": 12, "forty": 40}
 
 # commands that argparse must refuse: each exits 1 before any work
 USAGE_ERRORS = [
@@ -134,6 +137,18 @@ def commands() -> list[tuple[str, list[str]]]:
                  ["benchmark", "--dgp", "s1", "--trials", "2", "--length", "20",
                   "--out", "out/benchmark-short-ranks/results.csv",
                   "--ranks", "out/benchmark-short-ranks/ranks.csv"]))
+    # one problem fails whole beside a normal one, whose results stay
+    ok, short, forty = (f"inputs/failing/{name}.csv" for name in FAILING)
+    for name, flags in (
+        # series length 12 too short for d_max 30
+        ("evaluate-failing-fnn", [short, "--p", "auto"]),
+        # estimation part must be longer than p=10
+        ("evaluate-failing-p", [short, "--p", "10"]),
+        # degenerate split; ok's four rows also fail 8 of its methods
+        ("evaluate-failing-split", [forty, "--p", "auto", "--fraction", "0.02"]),
+    ):
+        runs.append((name, ["evaluate", "--csv", ok, "--csv", *flags, "--out",
+                            f"out/{name}/results.csv", "--ranks", f"out/{name}/ranks.csv"]))
     # the seed flag overrides the file's
     runs += [("config-benchmark", ["benchmark", "--config", "inputs/benchmark.conf"]),
              ("config-evaluate", ["evaluate", "--config", "inputs/evaluate.conf",
@@ -175,6 +190,12 @@ def write_inputs(root: Path) -> None:
         values = np.round(workloads.walk(np.random.default_rng(seed), 400), 1)
         text = "y\n" + "".join(f"{float(v)!r}\n" for v in values)
         (directory / f"walk{seed}.csv").write_text(text, encoding="utf-8")
+    directory = root / "inputs" / "failing"
+    directory.mkdir(parents=True)
+    for seed, (name, t) in enumerate(FAILING.items()):
+        values = workloads.walk(np.random.default_rng([seed, 1]), t)
+        text = "y\n" + "".join(f"{float(v)!r}\n" for v in values)
+        (directory / f"{name}.csv").write_text(text, encoding="utf-8")
 
 
 def _sha(data: bytes) -> str:
