@@ -5,9 +5,9 @@ false-nearest-neighbours dimension selection.
 first dimension whose false-neighbour fraction is at most the tolerance;
 :func:`fnn_fractions` runs every step up to ``d_max``. Both keep the
 running squared distances between the t-1 points once, as the upper
-triangle of their symmetric matrix, and update them in row chunks, so each
-step's temporaries (the squared coordinate differences and the chunk's whole
-rows) hold about ``_CHUNK`` entries whatever the length of the series.
+triangle of their symmetric matrix, and update them in row chunks of a
+quarter of ``_CHUNK`` entries, whose minima are read while they are in
+cache; a step's other temporaries hold a few entries per point or one chunk.
 :func:`squared_distances`, the k-NN metric, is the same running sum, in
 coordinate order. :func:`nearest_rows` is the one k-NN neighbour search: it
 orders those distances one row chunk at a time, for k-NN ``predict`` and for
@@ -70,7 +70,7 @@ class EmbeddedDataset:
 # squared distances take chunks a quarter that size, which stay in cache
 _CHUNK = 1 << 17
 # points per block of FNN running sums: smaller blocks keep fewer sums twice
-# (their diagonal squares) but gather each row from more pieces
+# (their diagonal squares) but fold more blocks into each point's minimum
 _BLOCK = 256
 
 
@@ -119,16 +119,31 @@ def _nearest_columns(dist: np.ndarray, k: int) -> np.ndarray:
     """The first k columns of a stable argsort of each row of ``dist``:
     ascending distance, ties to the lowest column.
 
-    ``argpartition`` finds the k-th smallest distance. A row with exactly k
-    entries at or below it keeps those k, sorted by column and then stably by
-    distance; a row tied at the k-th distance is sorted whole.
+    ``partition`` finds the k-th smallest distance. A row with exactly k
+    entries at or below it sorts those k, taken in column order, stably where
+    two are equal; a row tied at the k-th distance is sorted whole.
     """
-    nearest = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
-    near = np.take_along_axis(dist, nearest, axis=1)
-    nearest = np.take_along_axis(nearest, np.argsort(near, axis=1, kind="stable"), axis=1)
-    tied = np.count_nonzero(dist <= near.max(axis=1)[:, None], axis=1) != k
+    count, at = _first_k(dist <= np.partition(dist, k - 1, axis=1)[:, k - 1, None], k)
+    untied, tied = np.flatnonzero(count == k), np.flatnonzero(count != k)
+    at = at[count[count >= k] == k]  # a NaN k-th distance leaves a row fewer than k
+    near = dist.ravel()[at]
+    order = np.argsort(near, axis=1) + np.arange(0, at.size, k)[:, None]
+    ranked = near.ravel()[order]
+    equal = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    order[equal] = np.argsort(near[equal], axis=1, kind="stable") + k * equal[:, None]
+    nearest = np.empty((dist.shape[0], k), dtype=np.intp)
+    nearest[untied] = at.ravel()[order] - dist.shape[1] * untied[:, None]
     nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
     return nearest
+
+
+def _first_k(mask: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The number of true entries in each row of ``mask``, and the flat
+    indices of the first k of each row that has at least k, in order."""
+    flat = np.flatnonzero(mask)
+    start = np.searchsorted(flat, np.arange(mask.shape[0] + 1) * mask.shape[1])
+    count = np.diff(start)
+    return count, flat[start[:-1][count >= k, None] + np.arange(k)]
 
 
 def embed(series: TimeSeries, p: int) -> EmbeddedDataset:
@@ -160,9 +175,9 @@ def fnn_fractions(series: TimeSeries, d_max: int) -> np.ndarray:
 
     Squared distances are running sums, one squared coordinate difference
     per dimension in coordinate order, so nothing cancels. Each step adds
-    its coordinate and finds the neighbours one row chunk at a time. The sum
-    for (i, j) equals the one for (j, i) bit for bit, so only about half of
-    the (t-1) x (t-1) sums are kept.
+    its coordinate one row chunk at a time. The sum for (i, j) equals the one
+    for (j, i) bit for bit, so only about half of the (t-1) x (t-1) sums are
+    kept, and a point's nearest lower-indexed points are read from columns.
 
     Duplicate points need care: distances up to 1e-9 standard deviations
     count as zero, the lowest-indexed zero-distance candidate is taken, and
@@ -183,30 +198,51 @@ def _false_fractions(series: TimeSeries, d_max: int) -> Iterator[float]:
     sd = float(np.std(y))
     zero = 1e-9 * sd
     # block b keeps the running sums of points [a, a + _BLOCK), a = b * _BLOCK,
-    # against the points from a on; as the sums are symmetric, the rest of a
-    # point's row is its column in the blocks above
+    # against the points from a on; as the sums are symmetric, a point's sums
+    # with the points before a are its column in the blocks above
     blocks = [np.zeros((min(_BLOCK, t - 1 - a), t - 1 - a)) for a in range(0, t - 1, _BLOCK)]
     for block in blocks:
         np.fill_diagonal(block, np.inf)  # a point is not its own neighbour
+    squares = np.empty(max(_CHUNK // 4, t - 1))
     for d in range(1, d_max + 1):
         m = t - d  # points present in both the d and d+1 embeddings
         coordinate = y[d - 1 : t - 1]
-        has_dup = np.empty(m, dtype=bool)
-        nn = np.empty(m, dtype=np.intp)
-        d2 = np.empty(m)
+        # a - b as the product [a, 1] @ [1, -b], as in squared_distances
+        left, right = np.stack([coordinate, np.ones(m)], 1), np.stack([np.ones(m), -coordinate])
+        # each point's least sum in its own row, and above with the first block to reach it
+        nn, mine = np.empty(m, dtype=np.intp), np.empty(m)
+        above, home = np.full(m, np.inf), np.zeros(m, dtype=np.intp)
         for b, a in enumerate(range(0, m, _BLOCK)):
-            for chunk in _row_chunks(min(_BLOCK, m - a), m):
+            width = min(_BLOCK, m - a)  # the block's rows at this step
+            later = np.full(m - a - width, np.inf)  # its least sum of each later point
+            for chunk in _row_chunks(width, m - a, _CHUNK // 4):
                 rows = slice(a + chunk.start, a + chunk.stop)
                 own = blocks[b][chunk, : m - a]
-                step = np.subtract.outer(coordinate[rows], coordinate[a:m])
-                own += np.square(step, out=step)
-                above = [block[:, rows.start - c * _BLOCK : rows.stop - c * _BLOCK].T
-                         for c, block in enumerate(blocks[:b])]
-                D2 = np.concatenate([*above, own], axis=1) if b else own
-                at, nearest = np.arange(D2.shape[0]), np.argmin(D2, axis=1)
-                dup = D2[at, nearest] <= zero * zero  # only then scan for the first zero
-                nearest[dup] = np.argmax(D2[dup] <= zero * zero, axis=1)
-                has_dup[rows], nn[rows], d2[rows] = dup, nearest, D2[at, nearest]
+                step = squares[: own.size].reshape(own.shape)
+                own += np.square(np.matmul(left[rows], right[:, a:m], out=step), out=step)
+                nearest = np.argmin(own, axis=1)
+                nn[rows], mine[rows] = a + nearest, own[np.arange(nearest.size), nearest]
+                np.minimum(later, own[:, width:].min(axis=0), out=later)
+            lower = later < above[a + width : m]  # ties stay with the earlier block
+            above[a + width : m][lower], home[a + width : m][lower] = later[lower], b
+        # the blocks above hold lower indices, and block 0 has none
+        wins = (mine < above) | (np.arange(m) < _BLOCK)
+        d2 = np.where(wins, mine, above)
+        has_dup = d2 <= zero * zero
+        rest = np.flatnonzero(~wins & ~has_dup)  # the first minimum of their column
+        for c in np.unique(home[rest]).tolist():
+            points = rest[home[rest] == c]
+            for part in _row_chunks(points.size, _BLOCK, _CHUNK // 4):
+                at = points[part]
+                nn[at] = c * _BLOCK + np.argmin(blocks[c][:, at - c * _BLOCK], axis=0)
+        dups = np.flatnonzero(has_dup)  # the first point at zero distance, in the whole row
+        for b in np.unique(dups // _BLOCK).tolist():
+            points = dups[dups // _BLOCK == b]
+            for part in _row_chunks(points.size, m):
+                at = points[part]
+                whole = [block[:, at - c * _BLOCK].T for c, block in enumerate(blocks[:b])]
+                whole.append(blocks[b][at - b * _BLOCK, : m - b * _BLOCK])
+                nn[at] = np.argmax(np.concatenate(whole, axis=1) <= zero * zero, axis=1)
         extra = np.abs(y[d:] - y[nn + d])
         dup_false = has_dup & (extra > zero)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddedDataset, _row_chunks, embed, nearest_rows
+from .embedding import _CHUNK, EmbeddedDataset, _first_k, embed, nearest_rows
 from .learners import LearnerSpec, fit, fit_lasso_folds, predict
 from .series import TimeSeries
 from .splitters import ResamplingPlan, build_plan
@@ -86,7 +86,9 @@ class LossEstimate:
 _POOLED = ("Preq-Grow", "Preq-Slide")
 
 # columns of each row's k-NN neighbour order that run_plan builds per problem
-KNN_WINDOW = 128
+# (a drifting walk's CV-Bl and CV-hvBl rows need 70-74 in the median), and the
+# first columns, which serve most rows of the other methods
+KNN_WINDOW, _NARROW = 128, 16
 
 
 def run_plan(plans, dataset, learner: LearnerSpec) -> list[LossEstimate | Exception]:
@@ -100,11 +102,12 @@ def run_plan(plans, dataset, learner: LearnerSpec) -> list[LossEstimate | Except
     folds' lasso paths followed in lockstep, up to 128 folds of any plans to
     a call) and predicts each plan's test rows in one product.
 
-    k-NN predicts each plan's test rows in row chunks from one neighbour
-    window that the plans share, each row's first ``KNN_WINDOW`` rows in
+    k-NN predicts the test rows of all the plans in one pass from one
+    neighbour window, each row's first ``KNN_WINDOW`` rows in
     :func:`~tseval.embedding.nearest_rows` order, built once per call: a row's
     neighbours are the first k of its window that lie in its fold's training
-    runs.
+    runs. Only the rows with fewer than k of them in the window's first
+    ``_NARROW`` columns read the whole window.
 
     Both leave some test rows to one fallback: the rows of the lasso's
     folds that ``fit_lasso_folds`` leaves to ``fit`` (fewer than two rows,
@@ -119,39 +122,45 @@ def run_plan(plans, dataset, learner: LearnerSpec) -> list[LossEstimate | Except
     The estimate averages per-iteration RMSEs (one error estimate per fold),
     except for Preq-Grow and Preq-Slide, whose squared errors are pooled
     across iterations before taking the root. An estimate that is not finite
-    fails its plan, and a failure of the shared fit or window fails every plan.
+    fails its plan, and a failure of the shared fit, window or pass fails
+    every plan.
     """
-    X = dataset.predictors
+    X, y = dataset.predictors, dataset.targets
     try:
+        # every plan's test rows, and their folds numbered on from plan to plan
+        offsets = np.cumsum([0] + [len(plan.test) for plan in plans])
+        rows = np.concatenate([plan.test.rows() for plan in plans])
+        fold = np.repeat(np.arange(offsets[-1]), np.concatenate([p.test.sizes() for p in plans]))
+        cuts = np.searchsorted(fold, offsets[1:-1])
+        tests = np.split(rows, cuts)
         if learner.kind == "lasso":
-            shared = fit_lasso_folds(learner, X, dataset.targets, [plan.train for plan in plans])
-        else:
-            shared = [nearest_rows(X, X, min(KNN_WINDOW, dataset.n))] * len(plans)
+            fits = fit_lasso_folds(learner, X, y, [plan.train for plan in plans])
+            local = (part - a for part, a in zip(np.split(fold, cuts), offsets))
+            served = [(np.einsum("ij,ij->i", X[test], f.coefficients[i]) + f.intercepts[i],
+                       np.where(f.fitted[i], 1, 2)) for f, test, i in zip(fits, tests, local)]
+        else:  # the window is a temporary, freed before the fallback runs
+            both = _knn_predictions(learner.k, y, nearest_rows(X, X, min(KNN_WINDOW, dataset.n)),
+                                    plans, rows, fold)
+            served = list(zip(*(np.split(array, cuts) for array in both)))
     except Exception as exc:  # noqa: BLE001 - the plans share this work and fail together
         return [exc.with_traceback(None)] * len(plans)
     outcomes: list[LossEstimate | Exception] = []
-    for plan, own in zip(plans, shared):
+    for plan, test, (predictions, depth) in zip(plans, tests, served):
         try:
-            outcomes.append(_plan_loss(plan, dataset, learner, own))
+            outcomes.append(_plan_loss(plan, dataset, learner, test, predictions, depth))
         except Exception as exc:  # noqa: BLE001 - isolate per plan
             outcomes.append(exc.with_traceback(None))
     return outcomes
 
 
-def _plan_loss(plan: ResamplingPlan, dataset, learner: LearnerSpec, shared) -> LossEstimate:
-    """One plan's estimate from its lasso folds or, for k-NN, the neighbour
-    window (``shared``)."""
+def _plan_loss(plan: ResamplingPlan, dataset, learner: LearnerSpec, tests, predictions,
+               depth) -> LossEstimate:
+    """One plan's estimate from the predictions of its test rows ``tests``,
+    each served at its ``depth``: 0, the window's first ``_NARROW`` columns;
+    1, the whole window or the lasso's shared fit; 2, unset, by the fallback."""
     X, y, train = dataset.predictors, dataset.targets, plan.train
-    tests = plan.test.rows()
     bounds = np.concatenate(([0], np.cumsum(plan.test.sizes())))
-    fold = np.repeat(np.arange(len(plan.test)), np.diff(bounds))
-    if learner.kind == "lasso":
-        predictions = np.einsum(
-            "ij,ij->i", X[tests], shared.coefficients[fold]
-        ) + shared.intercepts[fold]
-        left = ~shared.fitted[fold]
-    else:
-        predictions, left = _knn_predictions(learner.k, y, shared, train, tests, fold)
+    left = depth == 2
     refit = np.flatnonzero(np.logical_or.reduceat(left, bounds[:-1]))
     for i in refit.tolist():
         runs = slice(train.start[i], train.start[i + 1])
@@ -159,10 +168,11 @@ def _plan_loss(plan: ResamplingPlan, dataset, learner: LearnerSpec, shared) -> L
         model = fit(learner, X[rows], y[rows])
         at = bounds[i] + np.flatnonzero(left[bounds[i] : bounds[i + 1]])
         predictions[at] = predict(model, X[tests[at]])
-    logger.debug(
-        "run_plan %s %s: %d folds, %d fallback folds, %d fallback rows",
-        plan.method, learner.kind, len(plan.test), refit.size, np.count_nonzero(left),
-    )
+    narrow, whole = np.bincount(depth, minlength=3)[:2].tolist()
+    served = (f"{narrow} rows within {_NARROW} window columns, {whole} more within {KNN_WINDOW}"
+              if learner.kind == "knn" else f"{whole} rows from the shared fits")
+    logger.debug("run_plan %s %s: %d folds, %s, %d fallback folds, %d fallback rows", plan.method,
+                 learner.kind, len(plan.test), served, refit.size, np.count_nonzero(left))
     squares = (predictions - y[tests]) ** 2
     if tests.size == len(plan.test):
         fold_losses = np.sqrt(squares)  # the mean of one square is that square
@@ -177,30 +187,34 @@ def _plan_loss(plan: ResamplingPlan, dataset, learner: LearnerSpec, shared) -> L
     return LossEstimate(estimate, tuple(fold_losses.tolist()))
 
 
-def _knn_predictions(k: int, y, window, train, tests, fold) -> tuple[np.ndarray, np.ndarray]:
-    """k-NN predictions of every test row of a plan from the neighbour
-    ``window`` (see :func:`run_plan`), and a mask of the rows whose
-    window holds fewer than k of their fold's training rows; those rows'
-    predictions are left unset."""
-    n, owner = y.size, train.owner()
-    predictions = np.empty(tests.size)
-    short = np.empty(tests.size, dtype=bool)
-    for rows in _row_chunks(tests.size, n):
-        first, last = fold[rows.start], fold[rows.stop - 1] + 1
-        runs = slice(train.start[first], train.start[last])
-        # +1 where a run starts and -1 where it ends: the running sum marks its rows
-        edges = np.zeros((last - first, n + 1), dtype=np.int8)
-        edges[owner[runs] - first, train.lo[runs]] = 1
-        edges[owner[runs] - first, train.hi[runs]] = -1
-        member = np.cumsum(edges[:, :n], axis=1, dtype=np.int8).astype(bool)
-        near = window[tests[rows]]
-        inside = member[fold[rows, None] - first, near]
-        inside &= np.cumsum(inside, axis=1) <= k  # the first k training rows
-        found = np.count_nonzero(inside, axis=1) == k
-        short[rows] = ~found
-        out = predictions[rows]  # a view: what is written to it lands in predictions
-        out[found] = y[near[found][inside[found]].reshape(-1, k)].mean(axis=1)
-    return predictions, short
+def _knn_predictions(k: int, y, window, plans, tests, fold) -> tuple[np.ndarray, np.ndarray]:
+    """k-NN predictions and depths (see :func:`_plan_loss`; depth 2 is left
+    unset) of the test rows ``tests`` of all the ``plans``, in their folds
+    ``fold`` (see :func:`run_plan`), from the neighbour ``window``."""
+    offsets = np.cumsum([0] + [len(plan.test) for plan in plans])
+    owner = np.concatenate([plan.train.owner() + a for plan, a in zip(plans, offsets)])
+    lo, hi = (np.concatenate([getattr(plan.train, end) for plan in plans]) for end in ("lo", "hi"))
+    n, predictions, depth = y.size, np.empty(tests.size), np.full(tests.size, 2, dtype=np.int8)
+    # rows per chunk, and folds, each an n-wide membership row (one per test row in Preq-Grow)
+    step, most = _CHUNK // 4 // window.shape[1], max(1, _CHUNK // n)
+    start = 0
+    while start < tests.size:
+        stop = min(start + step, int(np.searchsorted(fold, fold[start] + most)))
+        first, last = fold[start], fold[stop - 1] + 1
+        runs = slice(*np.searchsorted(owner, [first, last]))
+        # a fold's rows lie between an odd and an even toggle: its runs' ends
+        toggles = np.zeros((last - first, n + 1), dtype=bool)
+        toggles[owner[runs] - first, lo[runs]] = toggles[owner[runs] - first, hi[runs]] = True
+        member = np.logical_xor.accumulate(toggles[:, :n], axis=1)
+        todo = np.arange(start, stop)
+        for level, columns in enumerate((_NARROW, window.shape[1])):
+            near = window[tests[todo], :columns]
+            count, at = _first_k(member.ravel()[near + n * (fold[todo, None] - first)], k)
+            predictions[todo[count >= k]] = y[near.ravel()[at]].mean(axis=1)
+            depth[todo[count >= k]] = level
+            todo = todo[count < k]
+        start = stop
+    return predictions, depth
 
 
 def estimate_losses(dataset: EmbeddedDataset, seeds: dict, learner: LearnerSpec, *,

@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tseval import (
     EmbeddedDataset,
@@ -210,6 +211,47 @@ def test_fnn_matches_brute_force_over_several_row_chunks():
     assert lib.tolist() == [brute_fnn_fraction(y.tolist(), d) for d in (1, 2, 3)]
 
 
+def vectorized_fnn(y, d, last=False):
+    """Each point's false-neighbour flag at d, its neighbour and whether it has
+    a duplicate, from the whole (t-d) x (t-d) matrix of running sums; ties go
+    to the lowest index, or with ``last`` to the highest."""
+    m = len(y) - d
+    sd = float(np.std(y))
+    zero = 1e-9 * sd
+    D = np.zeros((m, m))
+    for k in range(d):
+        D += (y[k : k + m, None] - y[None, k : k + m]) ** 2
+    np.fill_diagonal(D, np.inf)
+
+    def first(mask):
+        return m - 1 - np.argmax(mask[:, ::-1], axis=1) if last else np.argmax(mask, axis=1)
+
+    d2 = D.min(axis=1)
+    has_dup = d2 <= zero * zero
+    nn = first(D == d2[:, None])
+    nn[has_dup] = first(D[has_dup] <= zero * zero)
+    extra = np.abs(y[d:] - y[nn + d])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plain = (extra / np.sqrt(d2) > 10.0) | (np.sqrt(d2 + extra**2) > 2.0 * sd)
+    return np.where(has_dup, extra > zero, plain), nn, has_dup
+
+
+def test_fnn_ties_and_duplicates_across_blocks():
+    # integers from 0 to 5 over more than four blocks: up to d = 4 many points
+    # repeat points of other blocks, and from d = 3 many others are equally
+    # near to points of several blocks
+    y = np.random.default_rng(27).integers(0, 6, size=4 * embedding._BLOCK + 77).astype(float)
+    lib = fnn_fractions(TimeSeries(y), 5)
+    for d in range(1, 6):
+        false, nn, has_dup = vectorized_fnn(y, d)
+        assert lib[d - 1] == np.count_nonzero(false) / (len(y) - d)
+        # the other end of each tie lies in another block and decides the pair
+        wrong, wrong_nn, _ = vectorized_fnn(y, d, last=True)
+        across = (nn // embedding._BLOCK != wrong_nn // embedding._BLOCK) & (false != wrong)
+        if d == 4:
+            assert (across & has_dup).any() and (across & ~has_dup).any()
+
+
 def test_fnn_memory_is_about_half_a_running_sum_matrix():
     # the upper triangle of the (t-1) x (t-1) sums, in blocks, and row chunks
     t = 2000
@@ -231,6 +273,27 @@ def test_knn_window_is_a_stable_sort():
     D = embedding.squared_distances(ds.predictors, ds.predictors)
     expected = np.argsort(D, axis=1, kind="stable")[:, :KNN_WINDOW]
     assert np.array_equal(window, expected)
+
+
+# NaN: k-NN ``predict`` does not check its query rows, and a NaN coordinate
+# makes a NaN distance row
+_DISTANCES = st.sampled_from([0.0, 0.25, 1.0, 2.0, 2.0, 3.0, np.inf, np.nan]) | st.floats(0.0, 4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 40)), elements=_DISTANCES),
+       st.data())
+@example(np.array([[2.0, 1.0, 2.0, 0.5, 1.0]]), 4)  # equal distances among the first k
+@example(np.array([[3.0, 1.0, 2.0, 2.0, 0.5]]), 3)  # tied at the k-th distance
+@example(np.array([[np.inf, 1.0, np.inf, 0.5], [np.inf] * 4]), 3)  # overflowed sums
+@example(np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 2.0]]), 1)
+@example(np.array([[1.0, 0.0, 1.0], [np.inf, 0.0, 2.0]]), 3)
+@example(np.array([[np.nan, np.nan, 1.0], [3.0, 1.0, 2.0], [0.5, 0.2, 0.1]]), 2)
+def test_nearest_columns_are_a_stable_argsort(dist, k):
+    if not isinstance(k, int):
+        k = k.draw(st.integers(1, dist.shape[1]))
+    expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(embedding._nearest_columns(dist, k), expected)
 
 
 def coordinate_loop(A, B):

@@ -535,10 +535,10 @@ def _window(ds):
     return nearest_rows(ds.predictors, ds.predictors, min(KNN_WINDOW, ds.n))
 
 
-def _short_windows(ds, plan, k):
+def _short_windows(ds, plan, k, columns=KNN_WINDOW):
     """How many test rows of the plan have fewer than k of their fold's
-    training rows in their neighbour window."""
-    window = _window(ds)
+    training rows in the first ``columns`` of their neighbour window."""
+    window = _window(ds)[:, :columns]
     return sum(
         int(np.count_nonzero(np.isin(window[it.test], it.train).sum(axis=1) < k))
         for it in plan.iterations
@@ -575,9 +575,11 @@ def test_run_plan_knn_holdout_rows_beyond_the_window(caplog):
     caplog.set_level(logging.DEBUG, logger="tseval")
     run_plan([plan], ds, LearnerSpec(kind="knn", k=5))
     assert "iterations" not in vars(plan)  # the fallback reads the train runs
-    short = _short_windows(ds, plan, 5)
-    assert short > 0
-    assert f"1 fallback folds, {short} fallback rows" in caplog.text
+    short, beyond_narrow = _short_windows(ds, plan, 5), _short_windows(ds, plan, 5, 16)
+    assert short > 0 and beyond_narrow > short
+    assert (f"{plan.test.sizes()[0] - beyond_narrow} rows within 16 window columns, "
+            f"{beyond_narrow - short} more within {KNN_WINDOW}, "
+            f"1 fallback folds, {short} fallback rows") in caplog.text
     assert_knn_plans_exact(ds, 5)
 
 
@@ -718,13 +720,16 @@ def test_knn_predict_memory_is_bounded():
 
 
 def test_run_plan_knn_memory_is_bounded():
-    ds = embed(TimeSeries(_walk(np.random.default_rng(22), 3000)), 5)
+    # Preq-Grow and Preq-Slide have one fold per test row: a fold's row of
+    # training-run membership is n entries, and a chunk of 1024 such rows 7 MB
+    ds = embed(TimeSeries(_walk(np.random.default_rng(22), 7000)), 5)
     spec = LearnerSpec(kind="knn", k=5)
-    plans = [build_plan(method, ds.n, p=5, seed=3) for method in ("Holdout", "Preq-Bls", "CV")]
+    plans = [build_plan(method, ds.n, p=5, seed=3)
+             for method in ("Holdout", "Preq-Bls", "CV", "Preq-Grow", "Preq-Slide")]
     tracemalloc.start()
     try:
         run_plan(plans, ds, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20  # an n x n matrix of distances is 72 MB
+    assert peak < 16 * 2**20  # an n x n matrix of distances is 391 MB
