@@ -86,9 +86,8 @@ class LossEstimate:
 _POOLED = ("Preq-Grow", "Preq-Slide")
 
 # columns of each row's k-NN neighbour order that run_plan builds per problem
-# (a drifting walk's CV-Bl and CV-hvBl rows need 70-74 in the median), and the
-# first columns, which serve most rows of the other methods
-KNN_WINDOW, _NARROW = 128, 16
+# (a drifting walk's CV-Bl and CV-hvBl rows need 70-74 in the median)
+KNN_WINDOW = 128
 
 
 def run_plan(plans, dataset, learner: LearnerSpec) -> list[LossEstimate | Exception]:
@@ -106,8 +105,7 @@ def run_plan(plans, dataset, learner: LearnerSpec) -> list[LossEstimate | Except
     neighbour window, each row's first ``KNN_WINDOW`` rows in
     :func:`~tseval.embedding.nearest_rows` order, built once per call: a row's
     neighbours are the first k of its window that lie in its fold's training
-    runs. Only the rows with fewer than k of them in the window's first
-    ``_NARROW`` columns read the whole window.
+    runs.
 
     Both leave some test rows to one fallback: the rows of the lasso's
     folds that ``fit_lasso_folds`` leaves to ``fit`` (fewer than two rows,
@@ -137,30 +135,33 @@ def run_plan(plans, dataset, learner: LearnerSpec) -> list[LossEstimate | Except
             fits = fit_lasso_folds(learner, X, y, [plan.train for plan in plans])
             local = (part - a for part, a in zip(np.split(fold, cuts), offsets))
             served = [(np.einsum("ij,ij->i", X[test], f.coefficients[i]) + f.intercepts[i],
-                       np.where(f.fitted[i], 1, 2)) for f, test, i in zip(fits, tests, local)]
+                       f.fitted[i]) for f, test, i in zip(fits, tests, local)]
         else:  # the window is a temporary, freed before the fallback runs
+            owner = np.concatenate([plan.train.owner() + a for plan, a in zip(plans, offsets)])
+            lo, hi = (np.concatenate([getattr(plan.train, end) for plan in plans])
+                      for end in ("lo", "hi"))
             both = _knn_predictions(learner.k, y, nearest_rows(X, X, min(KNN_WINDOW, dataset.n)),
-                                    plans, rows, fold)
+                                    rows, fold, owner, lo, hi)
             served = list(zip(*(np.split(array, cuts) for array in both)))
     except Exception as exc:  # noqa: BLE001 - the plans share this work and fail together
         return [exc.with_traceback(None)] * len(plans)
     outcomes: list[LossEstimate | Exception] = []
-    for plan, test, (predictions, depth) in zip(plans, tests, served):
+    for plan, test, (predictions, found) in zip(plans, tests, served):
         try:
-            outcomes.append(_plan_loss(plan, dataset, learner, test, predictions, depth))
+            outcomes.append(_plan_loss(plan, dataset, learner, test, predictions, found))
         except Exception as exc:  # noqa: BLE001 - isolate per plan
             outcomes.append(exc.with_traceback(None))
     return outcomes
 
 
 def _plan_loss(plan: ResamplingPlan, dataset, learner: LearnerSpec, tests, predictions,
-               depth) -> LossEstimate:
-    """One plan's estimate from the predictions of its test rows ``tests``,
-    each served at its ``depth``: 0, the window's first ``_NARROW`` columns;
-    1, the whole window or the lasso's shared fit; 2, unset, by the fallback."""
+               found) -> LossEstimate:
+    """One plan's estimate from the predictions of its test rows ``tests``;
+    those of the rows that are not ``found`` (by the neighbour window or the
+    lasso's shared fits) are unset, and the fallback makes them."""
     X, y, train = dataset.predictors, dataset.targets, plan.train
     bounds = np.concatenate(([0], np.cumsum(plan.test.sizes())))
-    left = depth == 2
+    left = ~found
     refit = np.flatnonzero(np.logical_or.reduceat(left, bounds[:-1]))
     for i in refit.tolist():
         runs = slice(train.start[i], train.start[i + 1])
@@ -168,11 +169,10 @@ def _plan_loss(plan: ResamplingPlan, dataset, learner: LearnerSpec, tests, predi
         model = fit(learner, X[rows], y[rows])
         at = bounds[i] + np.flatnonzero(left[bounds[i] : bounds[i + 1]])
         predictions[at] = predict(model, X[tests[at]])
-    narrow, whole = np.bincount(depth, minlength=3)[:2].tolist()
-    served = (f"{narrow} rows within {_NARROW} window columns, {whole} more within {KNN_WINDOW}"
-              if learner.kind == "knn" else f"{whole} rows from the shared fits")
-    logger.debug("run_plan %s %s: %d folds, %s, %d fallback folds, %d fallback rows", plan.method,
-                 learner.kind, len(plan.test), served, refit.size, np.count_nonzero(left))
+    logger.debug("run_plan %s %s: %d folds, %d rows from the %s, %d fallback folds, %d fallback"
+                 " rows", plan.method, learner.kind, len(plan.test), np.count_nonzero(found),
+                 "neighbour window" if learner.kind == "knn" else "shared fits", refit.size,
+                 np.count_nonzero(left))
     squares = (predictions - y[tests]) ** 2
     if tests.size == len(plan.test):
         fold_losses = np.sqrt(squares)  # the mean of one square is that square
@@ -187,14 +187,13 @@ def _plan_loss(plan: ResamplingPlan, dataset, learner: LearnerSpec, tests, predi
     return LossEstimate(estimate, tuple(fold_losses.tolist()))
 
 
-def _knn_predictions(k: int, y, window, plans, tests, fold) -> tuple[np.ndarray, np.ndarray]:
-    """k-NN predictions and depths (see :func:`_plan_loss`; depth 2 is left
-    unset) of the test rows ``tests`` of all the ``plans``, in their folds
-    ``fold`` (see :func:`run_plan`), from the neighbour ``window``."""
-    offsets = np.cumsum([0] + [len(plan.test) for plan in plans])
-    owner = np.concatenate([plan.train.owner() + a for plan, a in zip(plans, offsets)])
-    lo, hi = (np.concatenate([getattr(plan.train, end) for plan in plans]) for end in ("lo", "hi"))
-    n, predictions, depth = y.size, np.empty(tests.size), np.full(tests.size, 2, dtype=np.int8)
+def _knn_predictions(k: int, y, window, tests, fold, owner, lo, hi):
+    """k-NN predictions of the test rows ``tests``, in their folds ``fold``
+    (see :func:`run_plan`), from the neighbour ``window``, and a mask of the
+    rows found: those whose window holds k rows of their fold's training runs
+    ``lo[j]:hi[j]`` (run j belongs to fold ``owner[j]``). The other rows'
+    predictions are left unset."""
+    n, predictions, found = y.size, np.empty(tests.size), np.zeros(tests.size, dtype=bool)
     # rows per chunk, and folds, each an n-wide membership row (one per test row in Preq-Grow)
     step, most = _CHUNK // 4 // window.shape[1], max(1, _CHUNK // n)
     start = 0
@@ -206,15 +205,12 @@ def _knn_predictions(k: int, y, window, plans, tests, fold) -> tuple[np.ndarray,
         toggles = np.zeros((last - first, n + 1), dtype=bool)
         toggles[owner[runs] - first, lo[runs]] = toggles[owner[runs] - first, hi[runs]] = True
         member = np.logical_xor.accumulate(toggles[:, :n], axis=1)
-        todo = np.arange(start, stop)
-        for level, columns in enumerate((_NARROW, window.shape[1])):
-            near = window[tests[todo], :columns]
-            count, at = _first_k(member.ravel()[near + n * (fold[todo, None] - first)], k)
-            predictions[todo[count >= k]] = y[near.ravel()[at]].mean(axis=1)
-            depth[todo[count >= k]] = level
-            todo = todo[count < k]
+        near = window[tests[start:stop]]
+        count, at = _first_k(member.ravel()[near + n * (fold[start:stop, None] - first)], k)
+        hit = start + np.flatnonzero(count >= k)
+        predictions[hit], found[hit] = y[near.ravel()[at]].mean(axis=1), True
         start = stop
-    return predictions, depth
+    return predictions, found
 
 
 def estimate_losses(dataset: EmbeddedDataset, seeds: dict, learner: LearnerSpec, *,

@@ -535,10 +535,10 @@ def _window(ds):
     return nearest_rows(ds.predictors, ds.predictors, min(KNN_WINDOW, ds.n))
 
 
-def _short_windows(ds, plan, k, columns=KNN_WINDOW):
+def _short_windows(ds, plan, k):
     """How many test rows of the plan have fewer than k of their fold's
-    training rows in the first ``columns`` of their neighbour window."""
-    window = _window(ds)[:, :columns]
+    training rows in their neighbour window."""
+    window = _window(ds)
     return sum(
         int(np.count_nonzero(np.isin(window[it.test], it.train).sum(axis=1) < k))
         for it in plan.iterations
@@ -575,10 +575,9 @@ def test_run_plan_knn_holdout_rows_beyond_the_window(caplog):
     caplog.set_level(logging.DEBUG, logger="tseval")
     run_plan([plan], ds, LearnerSpec(kind="knn", k=5))
     assert "iterations" not in vars(plan)  # the fallback reads the train runs
-    short, beyond_narrow = _short_windows(ds, plan, 5), _short_windows(ds, plan, 5, 16)
-    assert short > 0 and beyond_narrow > short
-    assert (f"{plan.test.sizes()[0] - beyond_narrow} rows within 16 window columns, "
-            f"{beyond_narrow - short} more within {KNN_WINDOW}, "
+    short = _short_windows(ds, plan, 5)
+    assert short > 0
+    assert (f"{plan.test.sizes()[0] - short} rows from the neighbour window, "
             f"1 fallback folds, {short} fallback rows") in caplog.text
     assert_knn_plans_exact(ds, 5)
 

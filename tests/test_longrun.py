@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,10 +7,16 @@ import numpy as np
 from tseval.cli import build_parser
 from tseval.series import load_csv
 
-_SPEC = importlib.util.spec_from_file_location(
-    "longrun", Path(__file__).resolve().parents[1] / "tools" / "longrun.py")
+ROOT = Path(__file__).resolve().parents[1]
+_PATH = list(sys.path)
+_SPEC = importlib.util.spec_from_file_location("longrun", ROOT / "tools" / "longrun.py")
 longrun = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(longrun)
+
+
+def test_loading_longrun_leaves_sys_path_alone():
+    # a perfbench directory on it would shadow other modules named run, spans, ...
+    assert sys.path == _PATH
 
 
 def test_every_longrun_command_parses():

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -40,11 +41,12 @@ from statistics import median
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-import workloads  # noqa: E402  (read-only: the benchmark's series generators)
-
-sys.path.insert(0, str(ROOT / "src"))
-from tseval.synthetic import DGPSpec, simulate  # noqa: E402  (S1, the same on every side)
+# the benchmark's series generators (read-only), loaded by path so that no
+# perfbench module name shadows another on sys.path
+_SPEC = importlib.util.spec_from_file_location("perfbench_workloads",
+                                               ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(workloads)
 
 LENGTH = 10_000
 SERIES = ("walk", "trend", "shift", "s1", "varstep")
@@ -63,7 +65,9 @@ sys.exit(code)
 def series_values(name: str) -> np.ndarray:
     if name in workloads.GENERATORS:
         return workloads.GENERATORS[name](np.random.default_rng([1, 0]), LENGTH)
-    if name == "s1":
+    if name == "s1":  # this checkout's tseval, the same on every side
+        from tseval.synthetic import DGPSpec, simulate
+
         return simulate(DGPSpec(kind="s1", length=LENGTH), np.random.default_rng(1)).values
     noise = np.random.default_rng(2).normal(0.0, 1.0, LENGTH)
     return noise * np.where(np.arange(LENGTH) >= LENGTH // 2, 3.0, 1.0)
@@ -165,4 +169,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
     sys.exit(main())
