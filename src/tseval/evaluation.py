@@ -19,7 +19,7 @@ import numpy as np
 from .embedding import _CHUNK, EmbeddedDataset, _first_k, embed, nearest_rows
 from .learners import LearnerSpec, fit, fit_lasso_folds, predict
 from .series import TimeSeries
-from .splitters import ResamplingPlan, build_plan
+from .splitters import ResamplingPlan, Runs, build_plan
 
 __all__ = [
     "rmse",
@@ -97,9 +97,10 @@ def run_plan(plans, dataset, learner: LearnerSpec) -> list[LossEstimate | Except
     traceback, whose frames would hold the plans' arrays).
 
     The lasso fits the training sets of all the plans together with
-    :func:`~tseval.learners.fit_lasso_folds` (prefix-sum moments, and the
-    folds' lasso paths followed in lockstep, up to 128 folds of any plans to
-    a call) and predicts each plan's test rows in one product.
+    :func:`~tseval.learners.fit_lasso_folds` on one stack of their train
+    runs (moments from one prefix sum, and the folds' lasso paths followed in
+    lockstep, up to 128 consecutive folds to a call) and predicts each plan's
+    test rows in one product.
 
     k-NN predicts the test rows of all the plans in one pass from one
     neighbour window, each row's first ``KNN_WINDOW`` rows in
@@ -125,23 +126,19 @@ def run_plan(plans, dataset, learner: LearnerSpec) -> list[LossEstimate | Except
     """
     X, y = dataset.predictors, dataset.targets
     try:
-        # every plan's test rows, and their folds numbered on from plan to plan
-        offsets = np.cumsum([0] + [len(plan.test) for plan in plans])
-        rows = np.concatenate([plan.test.rows() for plan in plans])
-        fold = np.repeat(np.arange(offsets[-1]), np.concatenate([p.test.sizes() for p in plans]))
-        cuts = np.searchsorted(fold, offsets[1:-1])
+        # every plan's folds in one stack of each side, numbered on from plan to plan
+        test, train = (Runs.stack([getattr(plan, side) for plan in plans])
+                       for side in ("test", "train"))
+        rows, fold = test.rows(), np.repeat(np.arange(len(test)), test.sizes())
+        cuts = np.searchsorted(fold, np.cumsum([len(plan.test) for plan in plans])[:-1])
         tests = np.split(rows, cuts)
         if learner.kind == "lasso":
-            fits = fit_lasso_folds(learner, X, y, [plan.train for plan in plans])
-            local = (part - a for part, a in zip(np.split(fold, cuts), offsets))
-            served = [(np.einsum("ij,ij->i", X[test], f.coefficients[i]) + f.intercepts[i],
-                       f.fitted[i]) for f, test, i in zip(fits, tests, local)]
+            fits = fit_lasso_folds(learner, X, y, train)
+            served = [(np.einsum("ij,ij->i", X[part], fits.coefficients[i]) + fits.intercepts[i],
+                       fits.fitted[i]) for part, i in zip(tests, np.split(fold, cuts))]
         else:  # the window is a temporary, freed before the fallback runs
-            owner = np.concatenate([plan.train.owner() + a for plan, a in zip(plans, offsets)])
-            lo, hi = (np.concatenate([getattr(plan.train, end) for plan in plans])
-                      for end in ("lo", "hi"))
             both = _knn_predictions(learner.k, y, nearest_rows(X, X, min(KNN_WINDOW, dataset.n)),
-                                    rows, fold, owner, lo, hi)
+                                    rows, fold, train)
             served = list(zip(*(np.split(array, cuts) for array in both)))
     except Exception as exc:  # noqa: BLE001 - the plans share this work and fail together
         return [exc.with_traceback(None)] * len(plans)
@@ -187,20 +184,20 @@ def _plan_loss(plan: ResamplingPlan, dataset, learner: LearnerSpec, tests, predi
     return LossEstimate(estimate, tuple(fold_losses.tolist()))
 
 
-def _knn_predictions(k: int, y, window, tests, fold, owner, lo, hi):
+def _knn_predictions(k: int, y, window, tests, fold, train):
     """k-NN predictions of the test rows ``tests``, in their folds ``fold``
     (see :func:`run_plan`), from the neighbour ``window``, and a mask of the
-    rows found: those whose window holds k rows of their fold's training runs
-    ``lo[j]:hi[j]`` (run j belongs to fold ``owner[j]``). The other rows'
-    predictions are left unset."""
+    rows found: those whose window holds k rows of their fold's runs in
+    ``train``. The other rows' predictions are left unset."""
     n, predictions, found = y.size, np.empty(tests.size), np.zeros(tests.size, dtype=bool)
+    owner, lo, hi = train.owner(), train.lo, train.hi
     # rows per chunk, and folds, each an n-wide membership row (one per test row in Preq-Grow)
     step, most = _CHUNK // 4 // window.shape[1], max(1, _CHUNK // n)
     start = 0
     while start < tests.size:
         stop = min(start + step, int(np.searchsorted(fold, fold[start] + most)))
         first, last = fold[start], fold[stop - 1] + 1
-        runs = slice(*np.searchsorted(owner, [first, last]))
+        runs = slice(train.start[first], train.start[last])
         # a fold's rows lie between an odd and an even toggle: its runs' ends
         toggles = np.zeros((last - first, n + 1), dtype=bool)
         toggles[owner[runs] - first, lo[runs]] = toggles[owner[runs] - first, hi[runs]] = True

@@ -11,13 +11,12 @@ One engine solves every lasso: it follows the paths of a stack of problems
 in lockstep, one stacked solve per breakpoint, and each problem's arithmetic
 is its own, so a fit does not depend on what else was in the stack. ``fit``
 gives it one problem. :func:`fit_lasso_folds` gives it every training set of
-every resampling plan of a problem, each plan's sets given as its train row
-runs, in calls of at most 128 sets that may span plans. Each set's means,
-standardized Gram matrix and correlations come from prefix sums of the rows
-and their outer products, one per plan, summed over the set's runs. Sets of
-fewer than two rows, and sets in which a column's variance is too small a
-share of its second moment for prefix sums to resolve, are left to
-:func:`fit`.
+every resampling plan of a problem, stacked as one set of train row runs, in
+calls of at most 128 consecutive sets and n runs. Each set's means,
+standardized Gram matrix and correlations come from one prefix sum of the
+rows and their outer products, summed over the set's runs. Sets of fewer
+than two rows, and sets in which a column's variance is too small a share of
+its second moment for prefix sums to resolve, are left to :func:`fit`.
 """
 
 from __future__ import annotations
@@ -228,10 +227,11 @@ def _lasso_fits(
     spec: LearnerSpec, G: np.ndarray, c: np.ndarray, live: np.ndarray, stacklevel: int = 4
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve a stack of standardized lasso problems in one lockstep call, at
-    ``spec.lam`` or by default 0.01 * max_j |c_j| of each problem. Warns, at
-    the caller of ``fit`` or of ``run_plan`` (``stacklevel``), when a solution
-    misses ``spec``'s acceptance test. Returns the coefficients and the
-    penalties."""
+    ``spec.lam`` or by default 0.01 * max_j |c_j| of each problem. Warns when
+    a solution misses ``spec``'s acceptance test, at the caller of ``fit``
+    (``stacklevel`` 4) or of ``run_plan``, whose sets reach here through
+    ``fit_lasso_folds`` and ``_solve_sets`` (5). Returns the coefficients and
+    the penalties."""
     if spec.lam is None:
         lam = 0.01 * np.max(np.abs(c), axis=1, initial=0.0)
     else:
@@ -289,51 +289,48 @@ class LassoFolds:
 _STACK = 128
 
 
-def fit_lasso_folds(spec: LearnerSpec, predictors, targets, stack) -> list[LassoFolds]:
-    """Fit the lasso on every training set of each entry of ``stack``, given
-    as row runs into the predictors and targets (:class:`~tseval.splitters.Runs`,
-    as a plan's ``train``); returns one :class:`LassoFolds` per entry. See the
-    module docstring for the method; each solved set equals ``fit`` on the
-    set's rows within the solver's tolerance, whatever else is in the stack."""
+def fit_lasso_folds(spec: LearnerSpec, predictors, targets, train) -> LassoFolds:
+    """Fit the lasso on every training set of ``train``, the row runs of a
+    stack of sets into the predictors and targets (a plan's ``train``, or
+    :meth:`~tseval.splitters.Runs.stack` of a problem's plans'); returns one
+    :class:`LassoFolds` row per set. See the module docstring for the method;
+    each solved set equals ``fit`` on the set's rows within the solver's
+    tolerance, whatever else is in the stack."""
     if spec.kind != "lasso":
         raise ValueError("fit_lasso_folds fits the lasso only")
-    if not all(np.diff(trains.start).all() for trains in stack):
+    if not np.diff(train.start).all():
         raise ValueError("empty training set")
     X, y = _validate_xy(predictors, targets)
     Z = np.column_stack([X, y])
     shift = Z.mean(axis=0)
     Z -= shift
-    starts = np.cumsum([0, *(len(trains.start) - 1 for trains in stack)])
-    coefficients = np.full((starts[-1], X.shape[1]), np.nan)
-    intercepts = np.full(starts[-1], np.nan)
-    fits, waiting = [], None
-    for i, trains in enumerate(stack):
-        fitted, waiting = _plan_sets(Z, shift, trains, starts[i], waiting)
-        rows = slice(starts[i], starts[i + 1])
-        fits.append(LassoFolds(coefficients[rows], intercepts[rows], fitted))
-        # the last plan's sets all go; before it, only full calls, and the
-        # rest wait for the next plan's sets, copied off this plan's arrays
-        ready = waiting[0].size if i == len(stack) - 1 else waiting[0].size // _STACK * _STACK
-        for a in range(0, ready, _STACK):
-            _solve_sets(spec, [x[a : a + _STACK] for x in waiting], coefficients, intercepts)
-        waiting = [x[ready:].copy() for x in waiting]
-    return fits
-
-
-def _plan_sets(Z: np.ndarray, shift: np.ndarray, trains, first: int, waiting) -> tuple:
-    """Which of a plan's training sets are fitted, and the sets to solve:
-    ``waiting`` then the plan's, each with its row in the stack (the plan's
-    first is ``first``), scales, offsets to the original units, Gram matrix
-    and correlations. A set's moments of Z = [X, y] - ``shift`` are the
-    differences of one prefix sum of [1, z][1, z]' over its runs."""
     n, q = Z.shape
     W = np.column_stack([np.ones(n), Z])
     prefix = np.zeros((n + 1, q + 1, q + 1))
     np.cumsum(W[:, :, None] * W[:, None, :], axis=0, out=prefix[1:])
-    runs = prefix[trains.hi]
-    runs -= prefix[trains.lo]
-    sums = np.add.reduceat(runs, trains.start[:-1])
-    del prefix, runs  # before the moments' temporaries
+    F = len(train)
+    folds = LassoFolds(np.full((F, X.shape[1]), np.nan), np.full(F, np.nan), np.zeros(F, bool))
+    a = 0
+    while a < F:
+        # the next sets, at most _STACK and n runs: each gather of their run ends fits the prefix
+        fit_in = np.searchsorted(train.start[a + 1 :], train.start[a] + n, side="right")
+        b = a + min(_STACK, max(int(fit_in), 1))
+        _solve_sets(spec, prefix, shift, train, slice(a, b), folds)
+        a = b
+    return folds
+
+
+def _solve_sets(spec: LearnerSpec, prefix, shift, train, sets: slice, folds) -> None:
+    """Fit the training sets ``sets`` of ``train`` in one lockstep call, and
+    write into ``folds`` which are fitted and, for those, the fits in the
+    original units. A set's moments of Z = [X, y] - ``shift`` are the
+    differences of ``prefix``, the prefix sum of [1, z][1, z]', over its runs.
+    The call's temporaries go when it returns."""
+    start = train.start[sets.start : sets.stop + 1]
+    runs = slice(start[0], start[-1])
+    sums = prefix[train.hi[runs]]
+    sums -= prefix[train.lo[runs]]
+    sums = np.add.reduceat(sums, start[:-1] - start[0])
     count = sums[:, 0, 0]
     moments = sums / count[:, None, None]
     mean = moments[:, 0, 1:]
@@ -341,23 +338,17 @@ def _plan_sets(Z: np.ndarray, shift: np.ndarray, trains, first: int, waiting) ->
     var = cov.diagonal(axis1=1, axis2=2)
     raw = moments[:, 1:, 1:].diagonal(axis1=1, axis2=2)
     fitted = (count >= 2) & np.all(var > _MOMENT_TOL * raw, axis=1)
+    folds.fitted[sets] = fitted
     solved = np.flatnonzero(fitted)
-    p = q - 1
+    p = cov.shape[1] - 1
     sigma = np.sqrt(var[solved, :p])
     G = cov[solved, :p, :p] / (sigma[:, :, None] * sigma[:, None, :])
     c = cov[solved, :p, p] / sigma
-    part = (first + solved, sigma, mean[solved, :p] + shift[:p], mean[solved, p] + shift[p], G, c)
-    return fitted, part if waiting is None else [np.concatenate(x) for x in zip(waiting, part)]
-
-
-def _solve_sets(spec: LearnerSpec, sets, coefficients, intercepts) -> None:
-    """Solve the sets of one lockstep call (see :func:`_plan_sets`) and write
-    their fits in the original units at their rows of ``coefficients`` and
-    ``intercepts``."""
-    rows, sigma, x_offset, y_offset, G, c = sets
     beta, _ = _lasso_fits(spec, G, c, np.ones_like(c, dtype=bool), stacklevel=5)
-    coefficients[rows] = beta / sigma
-    intercepts[rows] = y_offset - np.einsum("ij,ij->i", coefficients[rows], x_offset)
+    rows = sets.start + solved
+    folds.coefficients[rows] = beta / sigma
+    folds.intercepts[rows] = mean[solved, p] + shift[p] - np.einsum(
+        "ij,ij->i", folds.coefficients[rows], mean[solved, :p] + shift[:p])
 
 
 def fit(spec: LearnerSpec, predictors, targets) -> LassoModel | KnnModel:
@@ -376,6 +367,8 @@ def predict(model: LassoModel | KnnModel, predictors) -> np.ndarray:
     X = np.atleast_2d(np.asarray(predictors, dtype=float))
     if X.shape[1] != model.p:
         raise ValueError(f"model expects {model.p} predictors, got {X.shape[1]}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite query values")
     if isinstance(model, LassoModel):
         return X @ model.coefficients + model.intercept
     return model.targets[nearest_rows(X, model.predictors, model.k)].mean(axis=1)

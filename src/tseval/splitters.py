@@ -91,6 +91,14 @@ class Runs:
         if not ((lo > floor[:-1]) & (hi > lo)).all():
             raise ValueError("runs must be non-empty, non-negative, increasing and separated")
 
+    @classmethod
+    def stack(cls, parts) -> Runs:
+        """The iterations of each of ``parts`` in turn, numbered on from part to part."""
+        offsets = np.cumsum([0] + [part.lo.size for part in parts])
+        return cls(np.concatenate([part.lo for part in parts]),
+                   np.concatenate([part.hi for part in parts]),
+                   np.concatenate([[0]] + [part.start[1:] + a for part, a in zip(parts, offsets)]))
+
     def __len__(self) -> int:
         """The number of iterations."""
         return self.start.size - 1

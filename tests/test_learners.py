@@ -224,6 +224,17 @@ def test_errors():
         predict(model, np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["lasso", "knn"])
+def test_predict_refuses_non_finite_query_rows(kind, value):
+    # unchecked, the lasso would predict NaN, and k-NN, whose distances to
+    # such a row are all NaN, the mean of training rows 0..k-1
+    X = np.arange(20.0).reshape(10, 2) % 7
+    model = fit(LearnerSpec(kind=kind, k=3), X, 10.0 * np.arange(10))
+    with pytest.raises(ValueError, match="non-finite query values"):
+        predict(model, np.array([[1.0, 2.0], [3.0, value]]))
+
+
 def test_knn_mean_of_everything_when_k_is_n():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(12, 3))
@@ -324,7 +335,7 @@ def test_run_plan_lasso_matches_per_fold_fits(kind, p):
 def _fold_models(spec, ds, plan):
     """Each fitted fold as a LassoModel, with its penalty and scaling
     recomputed from the fold's own rows."""
-    [folds] = fit_lasso_folds(spec, ds.predictors, ds.targets, [plan.train])
+    folds = fit_lasso_folds(spec, ds.predictors, ds.targets, plan.train)
     models = []
     for i in np.flatnonzero(folds.fitted):
         train = plan.iterations[i].train
@@ -363,14 +374,16 @@ def test_shift_series_folds_take_more_than_one_sign_pattern():
 @pytest.mark.parametrize("kind", ["walk", "shift", "trend"])
 def test_a_fold_fits_the_same_alone_or_in_its_plan(kind, p, monkeypatch):
     # every plan of one problem in one stack, with a one-row set left to fit
-    # in the middle: the lockstep calls take the sets in order, full calls of
-    # 128 that span plans, and none of it moves a fit by a bit
+    # in the middle: each lockstep call takes the next sets, as many as fit
+    # in 128 sets and n runs, and solves the fitted ones among them, and none
+    # of it moves a fit by a bit
     values = SERIES[kind](np.random.default_rng([p, len(kind)]), 200 if p < 30 else 400)
     ds = embed(TimeSeries(values), p)
     spec = LearnerSpec()
-    stack = [plan.train for plan in _plans(ds, p)]
-    middle = len(stack) // 2
-    stack.insert(middle, Runs([0, 0], [1, ds.n // 2], [0, 1, 2]))
+    parts = [plan.train for plan in _plans(ds, p)]
+    middle = len(parts) // 2
+    parts.insert(middle, Runs([0, 0], [1, ds.n // 2], [0, 1, 2]))
+    stack = Runs.stack(parts)
     sizes = []
 
     def recorded(G, c, lam, live, paths=learners._lasso_paths):
@@ -379,21 +392,31 @@ def test_a_fold_fits_the_same_alone_or_in_its_plan(kind, p, monkeypatch):
 
     monkeypatch.setattr(learners, "_lasso_paths", recorded)
     together = fit_lasso_folds(spec, ds.predictors, ds.targets, stack)
-    solved = sum(int(folds.fitted.sum()) for folds in together)
-    assert sizes == [128] * (solved // 128) + ([solved % 128] if solved % 128 else [])
-    assert together[middle].fitted.tolist() == [False, True]
-    for trains, folds in zip(stack, together):
-        [plan] = fit_lasso_folds(spec, ds.predictors, ds.targets, [trains])
-        assert np.array_equal(plan.fitted, folds.fitted)
-        assert np.array_equal(plan.coefficients, folds.coefficients, equal_nan=True)
-        assert np.array_equal(plan.intercepts, folds.intercepts, equal_nan=True)
-        F = len(trains.start) - 1
+    calls, a = [], 0
+    while a < len(stack):
+        b = a + 1
+        while b < min(a + 128, len(stack)) and stack.start[b + 1] - stack.start[a] <= ds.n:
+            b += 1
+        calls.append(int(together.fitted[a:b].sum()))
+        a = b
+    assert sizes == calls
+    offsets = np.cumsum([0] + [len(trains) for trains in parts])
+    assert together.fitted[offsets[middle] : offsets[middle + 1]].tolist() == [False, True]
+    for trains, a in zip(parts, offsets):
+        rows = slice(a, a + len(trains))
+        fitted, coefficients, intercepts = (
+            x[rows] for x in (together.fitted, together.coefficients, together.intercepts))
+        plan = fit_lasso_folds(spec, ds.predictors, ds.targets, trains)
+        assert np.array_equal(plan.fitted, fitted)
+        assert np.array_equal(plan.coefficients, coefficients, equal_nan=True)
+        assert np.array_equal(plan.intercepts, intercepts, equal_nan=True)
+        F = len(trains)
         for i in range(0, F, max(1, F // 4)):
             runs = slice(trains.start[i], trains.start[i + 1])
-            [alone] = fit_lasso_folds(spec, ds.predictors, ds.targets, [
-                Runs(trains.lo[runs], trains.hi[runs], [0, runs.stop - runs.start])])
-            assert np.array_equal(alone.coefficients[0], folds.coefficients[i], equal_nan=True)
-            assert np.array_equal(alone.intercepts[0], folds.intercepts[i], equal_nan=True)
+            one = Runs(trains.lo[runs], trains.hi[runs], [0, runs.stop - runs.start])
+            alone = fit_lasso_folds(spec, ds.predictors, ds.targets, one)
+            assert np.array_equal(alone.coefficients[0], coefficients[i], equal_nan=True)
+            assert np.array_equal(alone.intercepts[0], intercepts[i], equal_nan=True)
     assert max(sizes) <= 128
 
 
@@ -405,7 +428,7 @@ def test_nearly_constant_column_falls_back_to_fit(caplog):
     values[40:60] = 1.5
     ds = embed(TimeSeries(values), 2)
     plan = build_plan("Preq-Sld-Bls", ds.n)
-    [folds] = fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, [plan.train])
+    folds = fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, plan.train)
     assert np.flatnonzero(~folds.fitted).tolist() == [2]
     assert np.isnan(folds.coefficients[2]).all()
     caplog.set_level(logging.DEBUG, logger="tseval")
@@ -421,11 +444,11 @@ def test_nearly_constant_column_falls_back_to_fit(caplog):
 def test_single_row_fold_falls_back_to_fit():
     ds = embed(TimeSeries(np.random.default_rng(4).normal(size=30)), 2)
     trains = Runs(lo=[0, 0], hi=[1, 10], start=[0, 1, 2])  # rows [0] and 0..9
-    [folds] = fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, [trains])
+    folds = fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, trains)
     assert folds.fitted.tolist() == [False, True]
     with pytest.raises(ValueError, match="empty training set"):
         fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets,
-                        [trains, Runs([0], [10], [0, 1, 1])])
+                        Runs.stack([trains, Runs([0], [10], [0, 1, 1])]))
 
 
 def test_zero_penalty_on_a_line_predicts_exactly():
@@ -464,7 +487,7 @@ def test_collinear_columns_give_no_singular_solution(equal_rows_first):
     trains = halves[::-1] if equal_rows_first else halves
     spec = LearnerSpec()
     runs = Runs([t[0] for t in trains], [t[-1] + 1 for t in trains], [0, 1, 2])
-    [folds] = fit_lasso_folds(spec, X, y, [runs])
+    folds = fit_lasso_folds(spec, X, y, runs)
     assert folds.fitted.all()
     for i, train in enumerate(trains):
         assert np.all(np.abs(folds.coefficients[i] * X[train].std(axis=0)) <= 1e3)
@@ -732,3 +755,20 @@ def test_run_plan_knn_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # an n x n matrix of distances is 391 MB
+
+
+def test_fit_lasso_folds_memory_is_bounded():
+    # one prefix sum of [1, z][1, z]' serves the whole stack, and each call
+    # gathers its runs' ends from it twice: at most n runs to a call keeps
+    # each gather within the prefix's size, where CV's and CV-Mod's runs
+    # together would exceed it
+    ds = embed(TimeSeries(_walk(np.random.default_rng(22), 3000)), 3)
+    stack = Runs.stack([build_plan(method, ds.n, p=3, seed=3).train for method in METHODS])
+    prefix = (ds.n + 1) * (ds.p + 2) ** 2 * 8
+    tracemalloc.start()
+    try:
+        fit_lasso_folds(LearnerSpec(), ds.predictors, ds.targets, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * prefix

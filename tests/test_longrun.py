@@ -22,12 +22,17 @@ def test_loading_longrun_leaves_sys_path_alone():
 def test_every_longrun_command_parses():
     parser = build_parser()
     runs = longrun.commands("side0")
-    assert len(runs) == len(longrun.SERIES) * len(longrun.LEARNERS)
+    assert len(runs) == len(longrun.SERIES) * len(longrun.LEARNERS) + 1
     assert len({name for name, _ in runs}) == len(runs)  # each writes its own results
-    for _, argv in runs:
-        args = parser.parse_args(argv)
-        assert args.command == "evaluate" and args.p == "auto" and args.verbose
-        assert argv[-1].startswith("out/side0/")
+    parsed = {name: parser.parse_args(argv) for name, argv in runs}
+    for (name, argv), args in zip(runs, parsed.values()):
+        assert args.command == "evaluate" and args.verbose
+        assert argv[-1] == f"out/side0/{name}/results.csv"
+    # every series with each learner at FNN's p, and the p = 30 lasso stack on S1
+    assert {name for name, args in parsed.items() if args.p == "auto"} == {
+        f"{series}-{learner}" for series in longrun.SERIES for learner in longrun.LEARNERS}
+    fixed = parsed["s1-lasso-p30"]
+    assert (fixed.p, fixed.learner, fixed.csv) == (30, "lasso", ["inputs/s1.csv"])
 
 
 def test_longrun_series_are_long_and_the_variance_steps_at_the_middle(tmp_path):

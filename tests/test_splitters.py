@@ -74,6 +74,18 @@ def test_plan_rejects_overlap_empty_and_malformed_runs():
     assert [part.tolist() for part in plan.iterations[0]] == [[0, 4, 5], [2], [1]]
 
 
+def test_a_stack_of_runs_reads_as_its_parts_in_turn():
+    parts = [build_plan(method, 60, K=5, p=2, seed=1).train for method in ("CV-Mod", "Preq-Grow")]
+    parts.insert(1, Runs([], [], [0, 0]))  # an iteration with no runs keeps its number
+    stack = Runs.stack(parts)
+    assert len(stack) == sum(len(part) for part in parts)
+    assert stack.rows().tolist() == np.concatenate([part.rows() for part in parts]).tolist()
+    assert stack.sizes().tolist() == np.concatenate([part.sizes() for part in parts]).tolist()
+    offsets = np.cumsum([0] + [len(part) for part in parts])
+    assert stack.owner().tolist() == np.concatenate(
+        [part.owner() + a for part, a in zip(parts, offsets)]).tolist()
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_plan_parts_are_sorted_read_only_int_arrays(method):
     plan = build_plan(method, 137, K=10, p=2, seed=3)

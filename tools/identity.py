@@ -43,6 +43,10 @@ DECIMAL_SEEDS = range(1, 9)
 # walks of these lengths, by name under inputs/failing: a normal problem and
 # two that fail before any estimate
 FAILING = {"ok": 300, "short": 12, "forty": 40}
+# a 300-point walk held flat over points 60..119: at p = 2, two Preq-Sld-Bls
+# training blocks there have constant lag columns, so the lasso's shared
+# fits leave them to ``fit``
+FLAT = slice(60, 120)
 
 # commands that argparse must refuse: each exits 1 before any work
 USAGE_ERRORS = [
@@ -114,6 +118,9 @@ def commands() -> list[tuple[str, list[str]]]:
             runs.append((name, ["evaluate", *_csvs(decimal), "--p", str(p), "--learner", learner,
                                 "--out", f"out/{name}/results.csv",
                                 "--ranks", f"out/{name}/ranks.csv"]))
+    runs.append(("evaluate-flat-lasso", ["evaluate", "--csv", "inputs/flat/flat.csv", "--p", "2",
+                                         "--out", "out/evaluate-flat-lasso/results.csv",
+                                         "--ranks", "out/evaluate-flat-lasso/ranks.csv"]))
     for workload in PANELS:
         for seed in (1, 2, 3):
             for correction in ("bonferroni", "fdr"):
@@ -190,6 +197,11 @@ def write_inputs(root: Path) -> None:
         values = np.round(workloads.walk(np.random.default_rng(seed), 400), 1)
         text = "y\n" + "".join(f"{float(v)!r}\n" for v in values)
         (directory / f"walk{seed}.csv").write_text(text, encoding="utf-8")
+    values = workloads.walk(np.random.default_rng([3, 1]), 300)
+    values[FLAT] = values[FLAT.start]
+    (root / "inputs" / "flat").mkdir(parents=True)
+    text = "y\n" + "".join(f"{float(v)!r}\n" for v in values)
+    (root / "inputs" / "flat" / "flat.csv").write_text(text, encoding="utf-8")
     directory = root / "inputs" / "failing"
     directory.mkdir(parents=True)
     for seed, (name, t) in enumerate(FAILING.items()):

@@ -3,8 +3,9 @@
     python3 tools/longrun.py OUT_DIR [--src SRC [--src SRC]] [--pairs N]
 
 Writes the series under OUT_DIR/inputs, then runs ``evaluate --p auto`` on
-each series with each learner, each run in a fresh process with one BLAS
-thread and the ``tseval`` package from SRC (by default this checkout's
+each series with each learner, and ``evaluate --p 30`` with the lasso on S1
+(the largest lasso stack, without FNN), each run in a fresh process with one
+BLAS thread and the ``tseval`` package from SRC (by default this checkout's
 ``src``). Every run records its wall time from launch to exit, FNN's p, the
 exit code, the sha256 of its results file and its peak RSS: the child's own
 ``ru_maxrss``, read after ``main`` returns (``RUSAGE_CHILDREN`` in this
@@ -83,10 +84,11 @@ def write_inputs(root: Path) -> None:
 def commands(side: str) -> list[tuple[str, list[str]]]:
     """(name, argv) of every run of one side's pass, paths relative to
     OUT_DIR; run ``name`` writes out/<side>/<name>/results.csv."""
-    return [(f"{series}-{learner}",
-             ["evaluate", "--csv", f"inputs/{series}.csv", "--p", "auto", "--learner", learner,
-              "--verbose", "--out", f"out/{side}/{series}-{learner}/results.csv"])
-            for series in SERIES for learner in LEARNERS]
+    runs = [(f"{series}-{learner}", series, learner, "auto")
+            for series in SERIES for learner in LEARNERS] + [("s1-lasso-p30", "s1", "lasso", "30")]
+    return [(name, ["evaluate", "--csv", f"inputs/{series}.csv", "--p", p, "--learner", learner,
+                    "--verbose", "--out", f"out/{side}/{name}/results.csv"])
+            for name, series, learner, p in runs]
 
 
 def run_one(root: Path, src: Path, side: str, name: str, argv: list[str]) -> dict:
